@@ -1,7 +1,8 @@
 // Ablation (DESIGN.md): isolates the contribution of each retroactive-DBMS
 // technique on the same history — column-wise pruning alone (§4.2), the
-// row-wise refinement (§4.3), parallel replay (§4.4), and Hash-jumper-off
-// overhead — by driving RetroactiveEngine with custom options.
+// row-wise refinement (§4.3), the critical-path RTT charge that models
+// parallel replay (§4.4), and Hash-jumper-off overhead — by driving
+// RetroactiveEngine with custom options.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -21,7 +22,8 @@ void Run() {
   BenchSession session("ablation_pruning");
   PrintHeader("Ablation: dependency-analysis and parallelism variants",
               "DESIGN.md §6: column-only vs column+row (the Venn "
-              "intersection of §4.3) and serial vs parallel replay");
+              "intersection of §4.3) and serial vs critical-path RTT "
+              "charge (modeled parallel replay)");
   Variant variants[] = {
       {"none(serial)", false, false, false},
       {"col(serial)", true, false, false},
@@ -45,7 +47,6 @@ void Run() {
       eopts.deps.column_wise = v.column;
       eopts.deps.row_wise = v.row;
       eopts.parallel = v.parallel;
-      eopts.num_threads = 8;
       eopts.rtt_micros_per_query = 1000;
       core::RetroactiveEngine engine(inst.uv->db(), inst.uv->log(), eopts);
 

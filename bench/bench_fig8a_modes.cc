@@ -57,7 +57,9 @@ void Run() {
                    {"engine", m == 4 ? "tree" : "vm"},
                    {"seconds", secs[m]},
                    {"replayed", stats->replayed},
-                   {"skipped", stats->skipped}});
+                   {"skipped", stats->skipped},
+                   {"critical_path", stats->critical_path},
+                   {"virtual_rtt_ms", VirtualRttMs(*stats)}});
     }
     char speedup[32], vm_gain[32];
     std::snprintf(speedup, sizeof(speedup), "%.1fx",

@@ -24,7 +24,10 @@ using core::Ultraverse;
 struct Run {
   double seconds = 0;
   bool hit = false;
+  uint64_t jump_index = 0;
   size_t replayed = 0;
+  size_t critical_path = 0;
+  double virtual_rtt_ms = 0;
 };
 
 Run RunOne(const std::string& name, size_t history, double hit_point) {
@@ -87,7 +90,10 @@ Run RunOne(const std::string& name, size_t history, double hit_point) {
   Run run;
   run.seconds = TotalSeconds(*stats);
   run.hit = stats->hash_jump;
+  run.jump_index = stats->hash_jump_index;
   run.replayed = stats->replayed;
+  run.critical_path = stats->critical_path;
+  run.virtual_rtt_ms = VirtualRttMs(*stats);
   return run;
 }
 
@@ -111,7 +117,10 @@ void RunBench() {
                    {"hit_point", hp},
                    {"seconds", run.seconds},
                    {"hash_jump", run.hit ? 1 : 0},
-                   {"replayed", run.replayed}});
+                   {"jump_index", run.jump_index},
+                   {"replayed", run.replayed},
+                   {"critical_path", run.critical_path},
+                   {"virtual_rtt_ms", run.virtual_rtt_ms}});
     }
     PrintRow({name, cells[0], cells[1], cells[2], cells[3], hits});
   }

@@ -13,7 +13,7 @@ namespace {
 using core::RetroOp;
 using core::SystemMode;
 
-double RunWhatIf(const InstanceOptions& opts, SystemMode mode) {
+core::ReplayStats RunWhatIf(const InstanceOptions& opts, SystemMode mode) {
   Instance inst = BuildInstance(opts);
   RetroOp op;
   op.kind = RetroOp::Kind::kRemove;
@@ -24,7 +24,7 @@ double RunWhatIf(const InstanceOptions& opts, SystemMode mode) {
                  SystemModeName(mode), stats.status().ToString().c_str());
     std::exit(1);
   }
-  return TotalSeconds(*stats);
+  return *stats;
 }
 
 void Table8a(BenchSession& session) {
@@ -45,13 +45,16 @@ void Table8a(BenchSession& session) {
         opts.history_txns = n;
         opts.dependency_rate =
             (name == "seats" || name == "tpcc") ? 1.0 : 0.3;
-        double secs = RunWhatIf(opts, mode);
+        core::ReplayStats stats = RunWhatIf(opts, mode);
+        double secs = TotalSeconds(stats);
         row.push_back(FmtSeconds(secs));
         session.Row({{"table", "8a"},
                      {"workload", name},
                      {"history", n},
                      {"mode", SystemModeName(mode)},
-                     {"seconds", secs}});
+                     {"seconds", secs},
+                     {"critical_path", stats.critical_path},
+                     {"virtual_rtt_ms", VirtualRttMs(stats)}});
       }
       PrintRow(row);
     }
@@ -75,10 +78,11 @@ void Table8b(BenchSession& session) {
       opts.db_scale = scale;
       opts.history_txns = 400 * size_t(HistoryScale());
       opts.dependency_rate = (name == "seats" || name == "tpcc") ? 1.0 : 0.1;
-      double base = RunWhatIf(opts, SystemMode::kB);
+      double base = TotalSeconds(RunWhatIf(opts, SystemMode::kB));
       std::vector<std::string> row = {name, std::to_string(scale) + "x"};
       for (SystemMode mode : modes) {
-        double secs = RunWhatIf(opts, mode);
+        core::ReplayStats stats = RunWhatIf(opts, mode);
+        double secs = TotalSeconds(stats);
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.1fx", base / secs);
         row.push_back(buf);
@@ -87,7 +91,9 @@ void Table8b(BenchSession& session) {
                      {"scale", scale},
                      {"mode", SystemModeName(mode)},
                      {"seconds", secs},
-                     {"speedup", base / secs}});
+                     {"speedup", base / secs},
+                     {"critical_path", stats.critical_path},
+                     {"virtual_rtt_ms", VirtualRttMs(stats)}});
       }
       PrintRow(row);
     }
@@ -112,12 +118,13 @@ void Table8c(BenchSession& session) {
       opts.workload = name;
       opts.history_txns = 500 * size_t(HistoryScale());
       opts.dependency_rate = rate;
-      double base = RunWhatIf(opts, SystemMode::kB);
+      double base = TotalSeconds(RunWhatIf(opts, SystemMode::kB));
       char rate_buf[16];
       std::snprintf(rate_buf, sizeof(rate_buf), "%.0f%%", rate * 100);
       std::vector<std::string> row = {name, rate_buf};
       for (SystemMode mode : modes) {
-        double secs = RunWhatIf(opts, mode);
+        core::ReplayStats stats = RunWhatIf(opts, mode);
+        double secs = TotalSeconds(stats);
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.1fx", base / secs);
         row.push_back(buf);
@@ -126,7 +133,9 @@ void Table8c(BenchSession& session) {
                      {"dependency_rate", rate},
                      {"mode", SystemModeName(mode)},
                      {"seconds", secs},
-                     {"speedup", base / secs}});
+                     {"speedup", base / secs},
+                     {"critical_path", stats.critical_path},
+                     {"virtual_rtt_ms", VirtualRttMs(stats)}});
       }
       PrintRow(row);
     }

@@ -44,7 +44,6 @@ struct InstanceOptions {
   bool eager_hash_log = false;
   uint64_t seed = 1;
   uint64_t rtt_micros = 1000;
-  int replay_threads = 8;
   /// Statement execution engine for the instance's database (history build
   /// and replay both run through it). Unset = the process default.
   std::optional<sql::ExecEngine> exec_engine;
@@ -57,7 +56,6 @@ inline Instance BuildInstance(const InstanceOptions& opts) {
   Instance inst;
   core::Ultraverse::Options uv_opts;
   uv_opts.rtt_micros = opts.rtt_micros;
-  uv_opts.replay_threads = opts.replay_threads;
   uv_opts.hash_jumper = opts.hash_jumper;
   uv_opts.eager_analysis = opts.eager_analysis;
   uv_opts.eager_hash_log = opts.eager_hash_log;
@@ -87,6 +85,11 @@ inline Instance BuildInstance(const InstanceOptions& opts) {
 /// client<->server RTT cost (see DESIGN.md's RTT substitution).
 inline double TotalSeconds(const core::ReplayStats& stats) {
   return stats.total_seconds + double(stats.virtual_rtt_micros) / 1e6;
+}
+
+/// The simulated-RTT share of TotalSeconds, in milliseconds.
+inline double VirtualRttMs(const core::ReplayStats& stats) {
+  return double(stats.virtual_rtt_micros) / 1e3;
 }
 
 inline std::string FmtSeconds(double s) {
@@ -232,6 +235,22 @@ class BenchSession {
   }
 
   ~BenchSession() {
+    if (!g_trace_out.empty()) {
+      // Spans the trace ring overwrote are lost from the file: report them
+      // beside the recorded count, and as a result row.
+      const obs::Tracer& tracer = obs::Tracer::Global();
+      Status st = tracer.WriteFile(g_trace_out);
+      if (st.ok()) {
+        std::printf("[bench] trace (%zu spans, %zu dropped) -> %s\n",
+                    tracer.recorded_spans(), tracer.dropped_spans(),
+                    g_trace_out.c_str());
+      } else {
+        std::fprintf(stderr, "[bench] trace flush failed: %s\n",
+                     st.ToString().c_str());
+      }
+      Row({{"trace_spans", tracer.recorded_spans()},
+           {"trace_dropped_spans", tracer.dropped_spans()}});
+    }
     if (!rows_.empty()) {
       std::string path = "BENCH_" + name_ + ".json";
       if (std::FILE* f = std::fopen(path.c_str(), "w")) {
@@ -241,17 +260,6 @@ class BenchSession {
                     path.c_str());
       } else {
         std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
-      }
-    }
-    if (!g_trace_out.empty()) {
-      Status st = obs::Tracer::Global().WriteFile(g_trace_out);
-      if (st.ok()) {
-        std::printf("[bench] trace (%zu spans) -> %s\n",
-                    obs::Tracer::Global().recorded_spans(),
-                    g_trace_out.c_str());
-      } else {
-        std::fprintf(stderr, "[bench] trace flush failed: %s\n",
-                     st.ToString().c_str());
       }
     }
     if (!g_metrics_out.empty()) {

@@ -27,8 +27,8 @@
 #    wire-path edge (DESIGN.md §16).
 # 2. asan  — AddressSanitizer build running the observability + oracle +
 #    fault + vm + explain + mvcc + server labels (the suites that exercise
-#    the threaded replay/staging, WAL recovery, compiled-execution,
-#    provenance, and network paths).
+#    replay/staging over shared CoW snapshots, WAL recovery,
+#    compiled-execution, provenance, and network paths).
 # 3. tsan  — same labels under ThreadSanitizer, plus the concurrent
 #    what-if smoke (the MVCC layer's race detector) and the multi-client
 #    server smoke + wire crash sweep (the dispatcher/worker-pool race

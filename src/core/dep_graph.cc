@@ -1,8 +1,11 @@
 #include "core/dep_graph.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -338,6 +341,28 @@ ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
   return plan;
 }
 
+namespace {
+
+/// RI values query `rw` touches in the table of cell column `column`, from
+/// its row set `rs` (keys "t.<ri_col>" or "_S.t"). nullptr means every row:
+/// a wildcard entry, or no row info recorded (conservative).
+const std::set<std::string>* CellValues(const RowSet& rs,
+                                        const std::string& column) {
+  const bool is_schema = column.rfind("_S.", 0) == 0;
+  const std::string table =
+      is_schema ? column.substr(3) : column.substr(0, column.find('.'));
+  for (const auto& [key, vals] : rs.cols) {
+    bool schema_key = key.rfind("_S.", 0) == 0;
+    if (schema_key != is_schema) continue;
+    std::string t = is_schema ? key.substr(3) : key.substr(0, key.find('.'));
+    if (t != table) continue;
+    return vals.wildcard ? nullptr : &vals.values;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 std::vector<std::vector<uint32_t>> BuildConflictDag(
     const std::vector<const QueryRW*>& ordered) {
   obs::TraceSpan span("depgraph.conflict_dag", {{"queries", ordered.size()}});
@@ -351,27 +376,6 @@ std::vector<std::vector<uint32_t>> BuildConflictDag(
   };
   std::map<std::string, ColState> cols;
 
-  // Row values of query q for table t (from its rr/wr maps, whose keys are
-  // "t.<ri_col>" or "_S.t").
-  struct RowVals {
-    bool wildcard = true;
-    const std::set<std::string>* values = nullptr;
-  };
-  auto row_vals_for = [](const RowSet& rs, const std::string& table,
-                         bool is_schema) -> RowVals {
-    RowVals rv;
-    for (const auto& [col, vals] : rs.cols) {
-      bool schema_key = col.rfind("_S.", 0) == 0;
-      if (schema_key != is_schema) continue;
-      std::string t = is_schema ? col.substr(3) : col.substr(0, col.find('.'));
-      if (t != table) continue;
-      rv.wildcard = vals.wildcard;
-      rv.values = &vals.values;
-      return rv;
-    }
-    return rv;  // no row info recorded: wildcard (conservative)
-  };
-
   std::vector<std::vector<uint32_t>> deps(ordered.size());
   for (size_t i = 0; i < ordered.size(); ++i) {
     const QueryRW& rw = *ordered[i];
@@ -380,25 +384,19 @@ std::vector<std::vector<uint32_t>> BuildConflictDag(
       if (pos >= 0 && pos != int(i)) my_deps.insert(uint32_t(pos));
     };
 
-    auto table_of = [](const std::string& col) {
-      if (col.rfind("_S.", 0) == 0) return col.substr(3);
-      return col.substr(0, col.find('.'));
-    };
-
     // Reads first (RW dependencies onto earlier writers).
     for (const auto& c : rw.rc.items) {
       ColState& st = cols[c];
-      bool is_schema = c.rfind("_S.", 0) == 0;
-      RowVals rv = row_vals_for(rw.rr, table_of(c), is_schema);
+      const std::set<std::string>* values = CellValues(rw.rr, c);
       add_dep(st.last_wild_writer);
-      if (rv.wildcard || !rv.values) {
+      if (!values) {
         for (const auto& [v, w] : st.last_writer) {
           (void)v;
           add_dep(w);
         }
         st.wild_readers.push_back(int(i));
       } else {
-        for (const auto& v : *rv.values) {
+        for (const auto& v : *values) {
           auto it = st.last_writer.find(v);
           if (it != st.last_writer.end()) add_dep(it->second);
           st.readers_since_write[v].push_back(int(i));
@@ -408,10 +406,9 @@ std::vector<std::vector<uint32_t>> BuildConflictDag(
     // Writes (WR onto earlier readers, WW onto earlier writers).
     for (const auto& c : rw.wc.items) {
       ColState& st = cols[c];
-      bool is_schema = c.rfind("_S.", 0) == 0;
-      RowVals rv = row_vals_for(rw.wr, table_of(c), is_schema);
+      const std::set<std::string>* values = CellValues(rw.wr, c);
       add_dep(st.last_wild_writer);
-      if (rv.wildcard || !rv.values) {
+      if (!values) {
         for (const auto& [v, w] : st.last_writer) {
           (void)v;
           add_dep(w);
@@ -427,7 +424,7 @@ std::vector<std::vector<uint32_t>> BuildConflictDag(
         st.last_wild_writer = int(i);
       } else {
         for (int r : st.wild_readers) add_dep(r);
-        for (const auto& v : *rv.values) {
+        for (const auto& v : *values) {
           auto it = st.last_writer.find(v);
           if (it != st.last_writer.end()) add_dep(it->second);
           auto rit = st.readers_since_write.find(v);
@@ -447,6 +444,103 @@ std::vector<std::vector<uint32_t>> BuildConflictDag(
   for (const auto& d : deps) edges += d.size();
   conflict_edges->Add(edges);
   return deps;
+}
+
+uint32_t ConflictCriticalPath(const std::vector<const QueryRW*>& ordered) {
+  obs::TraceSpan span("depgraph.critical_path",
+                      {{"queries", ordered.size()}});
+  // BuildConflictDag's cell state with every position list folded into the
+  // largest depth it holds (0 = none). The maxima are exact: an entry is
+  // only replaced or cleared by a writer that depends on it, so that writer
+  // is deeper than anything it removes, and whoever would have depended on
+  // the removed entry depends on the writer too. Keys view strings owned
+  // by `ordered`, which outlives the pass.
+  struct ValDepth {
+    uint32_t writer = 0;
+    uint32_t readers = 0;  // since that write
+  };
+  struct ColDepth {
+    uint32_t wild_writer = 0;
+    // Since the last wildcard write:
+    uint32_t wild_readers = 0;
+    uint32_t value_writers = 0;  // max over values[*].writer
+    uint32_t value_readers = 0;  // max over values[*].readers
+    std::unordered_map<std::string_view, ValDepth> values;
+  };
+  std::unordered_map<std::string_view, ColDepth> cols;
+
+  uint32_t longest = 0;
+  for (const QueryRW* q : ordered) {
+    const QueryRW& rw = *q;
+    // A query never depends on itself, so its depth comes from the state
+    // before it; the updates then apply in BuildConflictDag's order.
+    uint32_t deps = 0;
+    auto at_least = [&deps](uint32_t d) { deps = std::max(deps, d); };
+    for (const auto& c : rw.rc.items) {
+      auto it = cols.find(c);
+      if (it == cols.end()) continue;
+      const ColDepth& st = it->second;
+      at_least(st.wild_writer);
+      const std::set<std::string>* values = CellValues(rw.rr, c);
+      if (!values) {
+        at_least(st.value_writers);
+        continue;
+      }
+      for (const auto& v : *values) {
+        auto vit = st.values.find(v);
+        if (vit != st.values.end()) at_least(vit->second.writer);
+      }
+    }
+    for (const auto& c : rw.wc.items) {
+      auto it = cols.find(c);
+      if (it == cols.end()) continue;
+      const ColDepth& st = it->second;
+      at_least(st.wild_writer);
+      at_least(st.wild_readers);
+      const std::set<std::string>* values = CellValues(rw.wr, c);
+      if (!values) {
+        at_least(st.value_writers);
+        at_least(st.value_readers);
+        continue;
+      }
+      for (const auto& v : *values) {
+        auto vit = st.values.find(v);
+        if (vit == st.values.end()) continue;
+        at_least(vit->second.writer);
+        at_least(vit->second.readers);
+      }
+    }
+    const uint32_t depth = deps + 1;
+    longest = std::max(longest, depth);
+
+    for (const auto& c : rw.rc.items) {
+      ColDepth& st = cols[c];
+      const std::set<std::string>* values = CellValues(rw.rr, c);
+      if (!values) {
+        st.wild_readers = std::max(st.wild_readers, depth);
+        continue;
+      }
+      for (const auto& v : *values) {
+        ValDepth& vd = st.values[v];
+        vd.readers = std::max(vd.readers, depth);
+        st.value_readers = std::max(st.value_readers, depth);
+      }
+    }
+    for (const auto& c : rw.wc.items) {
+      ColDepth& st = cols[c];
+      const std::set<std::string>* values = CellValues(rw.wr, c);
+      if (!values) {
+        st = ColDepth{};  // barrier: every earlier access is behind it
+        st.wild_writer = depth;
+        continue;
+      }
+      for (const auto& v : *values) {
+        st.values[v] = ValDepth{depth, 0};
+        st.value_writers = std::max(st.value_writers, depth);
+      }
+    }
+  }
+  return longest;
 }
 
 }  // namespace ultraverse::core

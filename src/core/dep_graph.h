@@ -122,13 +122,20 @@ ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
                              bool target_occupies_slot,
                              const DependencyOptions& options);
 
-/// Conflict edges for parallel replay scheduling (§4.4): a replay arrow
+/// Conflict edges for dependency-ordered scheduling (§4.4; TxnScheduler
+/// runs independent transactions concurrently over them): a replay arrow
 /// Qn -> Qm exists when n < m and the two queries conflict (read-write,
 /// write-read, or write-write) on the same column and RI value ("cell").
 /// `ordered` is the replay sequence in commit order; the result holds, for
 /// each position i, the predecessor positions that must complete first.
 std::vector<std::vector<uint32_t>> BuildConflictDag(
     const std::vector<const QueryRW*>& ordered);
+
+/// Length of the longest path through BuildConflictDag(ordered), counted in
+/// queries (0 for an empty sequence), from one pass that keeps the deepest
+/// position per cell instead of edge lists. This is the number of round
+/// trips a replay that overlaps independent chains cannot hide (§4.4).
+uint32_t ConflictCriticalPath(const std::vector<const QueryRW*>& ordered);
 
 }  // namespace ultraverse::core
 

@@ -1,25 +1,19 @@
 #include "core/replay.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
-
-#include "sqldb/parser.h"
-#include <thread>
 
 #include "fault/failpoint.h"
 #include "obs/explain.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sqldb/parser.h"
 #include "sqldb/wal/wal.h"
-#include "util/backoff.h"
-#include "util/mpmc_queue.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "util/virtual_clock.h"
 
 namespace ultraverse::core {
@@ -158,7 +152,7 @@ Status RetroactiveEngine::ExecuteSlot(sql::Database* db, const Slot& slot,
         Result<sql::ExecResult> when = db->Execute(*cond, commit_index, &ctx);
         if (when.ok() && !when->rows.empty() && !when->rows[0].empty() &&
             !when->rows[0][0].is_null() && when->rows[0][0].AsBool()) {
-          suppressed_.fetch_add(1, std::memory_order_relaxed);
+          ++suppressed_;
           return Status::OK();  // the simulated human decided not to act
         }
       }
@@ -226,7 +220,7 @@ namespace {
 /// per-report deltas are an aggregate approximation — totals across all
 /// concurrent reports remain exact.
 struct LayerCounters {
-  static constexpr size_t kN = 9;
+  static constexpr size_t kN = 10;
   obs::Counter* c[kN];
 
   static const LayerCounters& Get() {
@@ -239,6 +233,7 @@ struct LayerCounters {
                             reg.counter("uv.vm.access.index_path"),
                             reg.counter("uv.vm.access.scan_path"),
                             reg.counter("uv.vm.access.advisory_built"),
+                            reg.counter("uv.vm.tree_fallback"),
                             reg.counter("uv.retry.attempts"),
                             reg.counter("uv.fault.injected")}};
     }();
@@ -262,8 +257,9 @@ void ApplyLayerDeltas(const std::array<uint64_t, LayerCounters::kN>& base,
   report->vm_index_path = now[4] - base[4];
   report->vm_scan_path = now[5] - base[5];
   report->vm_advisory_built = now[6] - base[6];
-  report->retries = now[7] - base[7];
-  report->faults_injected = now[8] - base[8];
+  report->vm_tree_fallbacks = now[7] - base[7];
+  report->retries = now[8] - base[8];
+  report->faults_injected = now[9] - base[9];
 }
 
 obs::TxnVerdict VerdictFor(PlanExclusion e) {
@@ -345,7 +341,6 @@ Result<ReplayStats> RetroactiveEngine::ExecuteFullNaive(const RetroOp& op,
   ReplayStats stats;
   stats.history_size = horizon;
   stats.suffix_size = horizon >= op.index ? horizon - op.index + 1 : 0;
-  stats.workers = 1;
   stats.schema_rebuild = true;  // the whole universe is rebuilt from the log
   Stopwatch total_watch;
   obs::TraceSpan op_span("replay.full_naive",
@@ -442,7 +437,7 @@ Result<ReplayStats> RetroactiveEngine::ExecuteFullNaive(const RetroOp& op,
   end_phase("replay", replay_watch.ElapsedMicros());
   stats.replayed = executed;
   stats.planned_replay = executed;
-  stats.suppressed = suppressed_.load(std::memory_order_relaxed);
+  stats.suppressed = suppressed_;
   stats.virtual_rtt_micros = options_.rtt_micros_per_query * executed;
   stats.temp_db_bytes = temp_db_->ApproxOwnedBytes();
 
@@ -536,7 +531,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
 
   UV_RETURN_NOT_OK(CheckCancel(options_.cancel, "replay.start"));
   parsed_rules_.clear();
-  suppressed_.store(0, std::memory_order_relaxed);
+  suppressed_ = 0;
   captured_new_nondet_ = sql::NondetRecord{};
   for (const auto& rule : options_.rules) {
     UV_ASSIGN_OR_RETURN(sql::StatementPtr cond,
@@ -553,7 +548,6 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   ReplayStats stats;
   stats.history_size = horizon;
   stats.suffix_size = horizon >= op.index ? horizon - op.index + 1 : 0;
-  stats.workers = options_.parallel ? options_.num_threads : 1;
   Stopwatch total_watch;
 
   // --- Decision-provenance report (DESIGN.md §13) --------------------------
@@ -871,7 +865,8 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   end_phase("stage", rollback_watch.ElapsedMicros());
 
   // Hash-jumper timeline: only consulted (and only built) when the
-  // Hash-jumper is on; cached across Execute() calls keyed by the log size.
+  // Hash-jumper is on; cached across Execute() calls keyed by the history
+  // epoch.
   const HashTimeline* timeline =
       hash_jumper_on ? EnsureTimeline() : nullptr;
 
@@ -882,7 +877,19 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   if (replay_target) slots.push_back(Slot{true, op.index});
   for (uint64_t idx : plan.replay_indices) slots.push_back(Slot{false, idx});
 
+  // The paper overlaps the round trips of independent conflict chains
+  // (§4.4). That overlap is modeled, not executed: with Options::parallel
+  // only the conflict DAG's critical path is charged RTT below.
   stats.critical_path = slots.size();
+  if (options_.parallel) {
+    std::vector<const QueryRW*> ordered;
+    ordered.reserve(slots.size());
+    for (const auto& slot : slots) {
+      ordered.push_back(slot.is_new ? &target_rw
+                                    : &analysis[slot.log_index - 1]);
+    }
+    stats.critical_path = ConflictCriticalPath(ordered);
+  }
 
   // Hash-hit test at original commit index `idx` (§4.5): every mutated
   // table's replayed hash equals its original-timeline hash.
@@ -919,16 +926,10 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   };
 
   Status replay_status = Status::OK();
-  // A kCrash failpoint inside a parallel worker cannot unwind through the
-  // thread pool (an uncaught exception on a pool thread would terminate the
-  // real process, not the simulated one): the worker stashes it here and
-  // Execute() rethrows on the caller's thread, preserving throw-to-top
-  // semantics for the crash harness.
-  std::optional<fault::CrashException> crashed;
   bool hash_jumped = false;
   bool hash_verified = false;
   uint64_t jump_index = 0;
-  std::atomic<size_t> executed_slots{0};
+  size_t executed = 0;
 
   // §4.5 literal-comparison option: materialize the original timeline's
   // table at `idx` from a cloned journal and compare row multisets.
@@ -970,239 +971,28 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     return true;
   };
 
-  if (!options_.parallel || slots.size() < 2) {
-    uint64_t next_commit = history_end + 1;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      {
-        obs::TraceSpan slot_span(
-            "replay.slot",
-            {{"log_index", slots[i].is_new ? op.index : slots[i].log_index},
-             {"new", slots[i].is_new ? 1 : 0}});
-        replay_status =
-            ExecuteSlot(temp_db_.get(), slots[i], op, next_commit++);
-      }
-      executed_slots.fetch_add(1, std::memory_order_relaxed);
-      if (!replay_status.ok()) break;
-      if (hash_jumper_on && !slots[i].is_new &&
-          hashes_match_at(slots[i].log_index)) {
-        if (options_.verify_hash_hits) {
-          if (!literal_hit_check(slots[i].log_index)) continue;
-          hash_verified = true;
-        }
-        hash_jumped = true;
-        jump_index = slots[i].log_index;
-        break;
-      }
-    }
-  } else {
-    // Parallel replay over the conflict DAG (§4.4).
-    std::vector<const QueryRW*> ordered;
-    ordered.reserve(slots.size());
-    for (const auto& slot : slots) {
-      ordered.push_back(slot.is_new ? &target_rw
-                                    : &analysis[slot.log_index - 1]);
-    }
-    std::vector<std::vector<uint32_t>> preds = BuildConflictDag(ordered);
-    // Critical path of the conflict DAG: chains of conflicting queries
-    // serialize their round trips; independent chains overlap (§4.4).
+  // Slots run inline, in commit order. A crash failpoint simply unwinds to
+  // the caller.
+  uint64_t next_commit = history_end + 1;
+  for (const Slot& slot : slots) {
     {
-      std::vector<uint32_t> depth(slots.size(), 1);
-      uint32_t longest = slots.empty() ? 0 : 1;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        for (uint32_t p : preds[i]) {
-          depth[i] = std::max(depth[i], depth[p] + 1);
-        }
-        longest = std::max(longest, depth[i]);
-      }
-      stats.critical_path = longest;
+      obs::TraceSpan slot_span(
+          "replay.slot",
+          {{"log_index", slot.is_new ? op.index : slot.log_index},
+           {"new", slot.is_new ? 1 : 0}});
+      replay_status = ExecuteSlot(temp_db_.get(), slot, op, next_commit++);
     }
-    std::vector<std::vector<uint32_t>> succs(slots.size());
-    std::vector<std::atomic<int>> pending(slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-      pending[i].store(int(preds[i].size()), std::memory_order_relaxed);
-      for (uint32_t p : preds[i]) succs[p].push_back(uint32_t(i));
+    ++executed;
+    if (!replay_status.ok()) break;
+    if (hash_jumper_on && !slot.is_new && hashes_match_at(slot.log_index)) {
+      if (options_.verify_hash_hits) {
+        if (!literal_hit_check(slot.log_index)) continue;
+        hash_verified = true;
+      }
+      hash_jumped = true;
+      jump_index = slot.log_index;
+      break;
     }
-
-    // Ready queue: lock-free MPMC ring dequeued by the worker pool.
-    static obs::Gauge* const queue_depth =
-        obs::Registry::Global().gauge("uv.replay.ready_queue.depth");
-    static obs::Counter* const backoff_count =
-        obs::Registry::Global().counter("uv.replay.worker.backoffs");
-    static obs::Histogram* const busy_us =
-        obs::Registry::Global().histogram("uv.replay.worker.busy_us");
-    static obs::Histogram* const idle_hist_us =
-        obs::Registry::Global().histogram("uv.replay.worker.idle_us");
-    MpmcQueue<uint32_t> ready(slots.size() + 16);
-    std::atomic<size_t> completed{0};
-    std::atomic<bool> stop{false};
-    std::mutex status_mu;
-    // Per-table locks guard physical row storage; the DAG already orders
-    // all logically conflicting queries.
-    std::map<std::string, std::unique_ptr<std::mutex>> table_locks;
-    {
-      std::set<std::string> tables = plan.mutated_tables;
-      tables.insert(plan.consulted_tables.begin(),
-                    plan.consulted_tables.end());
-      for (const auto& t : tables) {
-        table_locks.emplace(t, std::make_unique<std::mutex>());
-      }
-    }
-    // Per-slot lock lists, precomputed once: each slot looks up only its
-    // own tables (O(k log T)) instead of scanning the whole lock map per
-    // executed query. Name order (== map order) keeps acquisition globally
-    // consistent, so the all-locks hash probe below cannot deadlock.
-    std::vector<std::vector<std::mutex*>> slot_locks(slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const QueryRW& rw = *ordered[i];
-      std::vector<std::string> names;
-      names.reserve(rw.read_tables.size() + rw.write_tables.size());
-      std::set_union(rw.read_tables.begin(), rw.read_tables.end(),
-                     rw.write_tables.begin(), rw.write_tables.end(),
-                     std::back_inserter(names));
-      for (const auto& name : names) {
-        auto it = table_locks.find(name);
-        if (it != table_locks.end()) slot_locks[i].push_back(it->second.get());
-      }
-    }
-    std::vector<std::atomic<uint8_t>> done_flags(slots.size());
-    for (auto& f : done_flags) f.store(0, std::memory_order_relaxed);
-    std::atomic<size_t> watermark{0};  // completed prefix length
-
-    uint64_t base_commit = history_end + 1;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (pending[i].load(std::memory_order_relaxed) == 0) {
-        if (ready.TryPush(uint32_t(i))) queue_depth->Add(1);
-      }
-    }
-
-    ThreadPool pool(size_t(options_.num_threads));
-    std::atomic<size_t> active_workers{0};
-    auto worker = [&]() {
-      obs::TraceSpan worker_span("replay.worker");
-      // Busy/idle accounting reads the clock twice per executed slot, so it
-      // rides the same gate as ScopedLatency; backoff counting is a relaxed
-      // add and stays always-on.
-      const bool timing = obs::TimingEnabled();
-      uint64_t idle_since = timing ? NowMicros() : 0;
-      uint32_t pos;
-      ExpBackoff backoff;
-      try {
-      while (!stop.load(std::memory_order_relaxed) &&
-             completed.load(std::memory_order_relaxed) < slots.size()) {
-        if (!ready.TryPop(&pos)) {
-          backoff_count->Inc();
-          backoff.Pause();
-          continue;
-        }
-        queue_depth->Add(-1);
-        uint64_t busy_start = 0;
-        if (timing) {
-          busy_start = NowMicros();
-          idle_hist_us->Record(busy_start - idle_since);
-        }
-        backoff.Reset();
-        const Slot& slot = slots[pos];
-
-        // Lock the tables this query touches (precomputed, name order).
-        Status st;
-        {
-          obs::TraceSpan slot_span(
-              "replay.slot",
-              {{"log_index", slot.is_new ? op.index : slot.log_index},
-               {"new", slot.is_new ? 1 : 0}});
-          const std::vector<std::mutex*>& held = slot_locks[pos];
-          for (std::mutex* mu : held) mu->lock();
-          try {
-            st = ExecuteSlot(temp_db_.get(), slot, op, base_commit + pos);
-          } catch (...) {
-            // Simulated crash mid-slot: release the table locks so the
-            // other workers can observe `stop` and drain instead of
-            // blocking forever on a mutex the "dead process" still holds.
-            for (auto it = held.rbegin(); it != held.rend(); ++it) {
-              (*it)->unlock();
-            }
-            throw;
-          }
-          executed_slots.fetch_add(1, std::memory_order_relaxed);
-          for (auto it = held.rbegin(); it != held.rend(); ++it) {
-            (*it)->unlock();
-          }
-        }
-        if (timing) {
-          idle_since = NowMicros();
-          busy_us->Record(idle_since - busy_start);
-        }
-
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> g(status_mu);
-          if (replay_status.ok()) replay_status = st;
-          stop.store(true, std::memory_order_relaxed);
-        }
-        done_flags[pos].store(1, std::memory_order_release);
-        completed.fetch_add(1, std::memory_order_acq_rel);
-
-        // Advance the completed-prefix watermark and run the Hash-jumper
-        // check at each newly completed prefix position.
-        if (hash_jumper_on) {
-          size_t w = watermark.load(std::memory_order_acquire);
-          while (w < slots.size() &&
-                 done_flags[w].load(std::memory_order_acquire)) {
-            if (watermark.compare_exchange_strong(w, w + 1)) {
-              // Only meaningful when the completed prefix is the entire
-              // completed set (nothing ran ahead of the watermark).
-              if (!slots[w].is_new &&
-                  completed.load(std::memory_order_acquire) == w + 1) {
-                std::lock_guard<std::mutex> g(status_mu);
-                // Block writers while reading table hashes.
-                std::vector<std::mutex*> all;
-                for (auto& [name, mu] : table_locks) {
-                  (void)name;
-                  mu->lock();
-                  all.push_back(mu.get());
-                }
-                bool hit = !stop.load(std::memory_order_relaxed) &&
-                           hashes_match_at(slots[w].log_index) &&
-                           completed.load(std::memory_order_acquire) == w + 1;
-                for (auto it = all.rbegin(); it != all.rend(); ++it) {
-                  (*it)->unlock();
-                }
-                if (hit && options_.verify_hash_hits) {
-                  hit = literal_hit_check(slots[w].log_index);
-                  hash_verified = hit;
-                }
-                if (hit) {
-                  hash_jumped = true;
-                  jump_index = slots[w].log_index;
-                  stop.store(true, std::memory_order_relaxed);
-                }
-              }
-              w = watermark.load(std::memory_order_acquire);
-            }
-          }
-        }
-
-        for (uint32_t next : succs[pos]) {
-          if (pending[next].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            ExpBackoff push_backoff;
-            while (!ready.TryPush(next)) push_backoff.Pause();
-            queue_depth->Add(1);
-          }
-        }
-      }
-      } catch (const fault::CrashException& e) {
-        {
-          std::lock_guard<std::mutex> g(status_mu);
-          if (!crashed) crashed = e;
-        }
-        stop.store(true, std::memory_order_relaxed);
-      }
-    };
-    for (int i = 0; i < options_.num_threads; ++i) pool.Submit(worker);
-    pool.WaitIdle();
-    // An early stop (error or hash-jump) leaves entries queued; the gauge
-    // reports live depth, so zero it rather than leak the residue.
-    queue_depth->Set(0);
-    if (crashed) throw *crashed;
   }
   stats.replay_seconds = replay_watch.ElapsedSeconds();
   {
@@ -1224,14 +1014,13 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   // Charge round trips for what actually ran: the Hash-jumper cuts the
   // tail off (§4.5). In parallel mode only the conflict-DAG critical path
   // serializes round trips.
-  size_t executed = executed_slots.load(std::memory_order_relaxed);
   stats.replayed = executed + (stats.replayed - slots.size());
   stats.virtual_rtt_micros =
       options_.rtt_micros_per_query *
       (options_.parallel ? std::min(stats.critical_path, executed)
                          : executed);
 
-  stats.suppressed = suppressed_.load(std::memory_order_relaxed);
+  stats.suppressed = suppressed_;
   {
     static obs::Counter* const c_executed =
         obs::Registry::Global().counter("uv.replay.slots.executed");

@@ -1,7 +1,6 @@
 #ifndef ULTRAVERSE_CORE_REPLAY_H_
 #define ULTRAVERSE_CORE_REPLAY_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -115,7 +114,8 @@ struct ReplayStats {
   bool hash_hit_verified = false;  // literal comparison ran and passed
 
   /// Longest chain of conflicting queries in the replay DAG: the number
-  /// of round trips a parallel replay cannot overlap.
+  /// of round trips a replay overlapping independent chains cannot hide.
+  /// Equals the slot count unless Options::parallel is set.
   size_t critical_path = 0;
 
   double analysis_seconds = 0;   // dependency-plan computation
@@ -124,12 +124,13 @@ struct ReplayStats {
   double total_seconds = 0;
   uint64_t virtual_rtt_micros = 0;  // simulated client<->server RTT charged
   size_t temp_db_bytes = 0;         // temporary database footprint
-  int workers = 1;
+  int workers = 1;  // always 1: slots replay inline on the calling thread
 
   /// Merged point-in-time view of every process metric, captured at the end
   /// of Execute(). Includes the per-phase latency histograms
-  /// (replay.phase.*_us), staging/fault-in counters, worker busy/idle times
-  /// and Hash-jumper probe outcomes — see DESIGN.md "Observability".
+  /// (replay.phase.*_us), staging/fault-in counters, VM plan-cache and
+  /// tree-fallback counters and Hash-jumper probe outcomes — see DESIGN.md
+  /// "Observability".
   obs::Snapshot obs;
 
   /// Decision-provenance report (DESIGN.md §13): phase wall/CPU breakdown,
@@ -143,8 +144,8 @@ struct ReplayStats {
 ///  1) build the pruned replay plan from the dependency analysis,
 ///  2) stage a temporary database and roll back mutated+consulted tables
 ///     to τ-1 (or rebuild from scratch when the plan replays DDL),
-///  3) replay dependent queries — serially, or in parallel over the
-///     conflict DAG with a lock-free ready queue,
+///  3) replay dependent queries inline in commit order, charging virtual
+///     RTT for the conflict DAG's critical path when Options::parallel,
 ///  4) Hash-jumper (§4.5): early-stop when the replayed state provably
 ///     reconverges with the original timeline,
 ///  5) adopt mutated tables back into the live database.
@@ -156,8 +157,10 @@ class RetroactiveEngine {
     /// Forces the rebuild-from-log staging path even when journal rollback
     /// could stage the replay (oracle mode pairs exercise both paths).
     bool force_rebuild = false;
+    /// Charge virtual RTT for the conflict DAG's critical path only, as a
+    /// replay overlapping independent chains would (§4.4). Slots always
+    /// execute serially; false charges one round trip per executed slot.
     bool parallel = true;
-    int num_threads = 8;
     bool hash_jumper = false;
     /// §4.5: on a hash-hit, additionally compare the replayed tables'
     /// literal contents against the original timeline before jumping
@@ -207,10 +210,10 @@ class RetroactiveEngine {
     /// so crash recovery lands in the pre- or post-what-if state and
     /// never between. Null = no durability (in-memory only, the default).
     sql::Wal* wal = nullptr;
-    /// Cooperative cancellation/deadline for the whole operation. Workers
-    /// poll it between slots and at phase boundaries and drain gracefully;
-    /// Execute() returns kCancelled / kDeadlineExceeded and the live
-    /// database is left untouched (adoption never starts).
+    /// Cooperative cancellation/deadline for the whole operation, polled
+    /// before every slot and at phase boundaries; Execute() returns
+    /// kCancelled / kDeadlineExceeded and the live database is left
+    /// untouched (adoption never starts).
     const CancelToken* cancel = nullptr;
     /// Bounded retry for kRetryable slot failures (transient injected
     /// faults). Default: no retries.
@@ -331,7 +334,7 @@ class RetroactiveEngine {
 
   /// (function, parsed when-condition) pairs from Options::rules.
   std::vector<std::pair<std::string, sql::StatementPtr>> parsed_rules_;
-  std::atomic<size_t> suppressed_{0};
+  size_t suppressed_ = 0;
   sql::NondetRecord captured_new_nondet_;
 };
 

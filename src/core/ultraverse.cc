@@ -699,7 +699,6 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
   eopts.deps.row_wise = dep;
   eopts.deps.static_footprints = snap->footprints.get();
   eopts.parallel = dep;
-  eopts.num_threads = options_.replay_threads;
   eopts.hash_jumper = options_.hash_jumper && dep;
   eopts.verify_hash_hits = options_.verify_hash_hits;
   eopts.rules = std::move(rules);
@@ -850,7 +849,6 @@ Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
   eopts.mode =
       full_naive ? ReplayMode::kFullNaive : ReplayMode::kSelective;
   eopts.parallel = dep;
-  eopts.num_threads = options_.replay_threads;
   // Analyze-only: no publish, no WAL marker, no live-database locks — the
   // snapshot is immutable, so staging and fault-ins run lock-free. The
   // engine additionally forces the Hash-jumper off (the temporary database

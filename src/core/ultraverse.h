@@ -27,6 +27,8 @@ namespace ultraverse::core {
 ///   kT  — transpiled procedures replayed serially, no pruning.
 ///   kD  — original application replay + dependency analysis + parallel.
 ///   kTD — transpiled procedures + dependency analysis + parallel.
+/// "Parallel" is the critical-path RTT model: slots execute serially and
+/// only the conflict DAG's longest chain is charged round trips.
 enum class SystemMode { kB, kT, kD, kTD };
 
 const char* SystemModeName(SystemMode mode);
@@ -96,6 +98,9 @@ class Ultraverse {
   struct Options {
     /// Virtual client<->server round-trip cost (see VirtualClock).
     uint64_t rtt_micros = 1000;
+    /// Ignored: replay runs its slots inline on the calling thread and
+    /// models overlap through the critical-path RTT charge. Kept only so
+    /// existing callers still compile; removing it is open work.
     int replay_threads = 8;
     bool hash_jumper = false;
     /// Literal table comparison on hash-hits (§4.5).

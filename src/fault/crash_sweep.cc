@@ -56,7 +56,6 @@ Result<HarnessOutcome> RunOnce(const oracle::WhatIfCase& c,
 
   core::RetroactiveEngine::Options opts;
   opts.mode = core::ReplayMode::kSelective;
-  opts.parallel = false;  // deterministic site evaluation order
   opts.wal = wal.get();
   core::RetroactiveEngine engine(u->db(), &u->log(), opts);
 

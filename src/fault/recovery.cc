@@ -30,7 +30,6 @@ Status ApplyMarker(const sql::WhatIfMarker& marker, sql::Database* db,
   }
   core::RetroactiveEngine::Options opts;
   opts.mode = core::ReplayMode::kFullNaive;
-  opts.parallel = false;
   opts.new_stmt_nondet = &marker.new_stmt_nondet;
   // Mirror the live facade: publish rewrites the log to the alternate
   // history, so the WAL entries and markers that follow this one replay

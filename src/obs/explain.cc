@@ -311,7 +311,8 @@ std::string WhatIfReport::ToJson() const {
       << ",\"plan_cache_misses\":" << plan_cache_misses
       << ",\"index_path\":" << vm_index_path
       << ",\"scan_path\":" << vm_scan_path
-      << ",\"advisory_built\":" << vm_advisory_built << '}';
+      << ",\"advisory_built\":" << vm_advisory_built
+      << ",\"tree_fallback\":" << vm_tree_fallbacks << '}';
   out << ",\"lifecycle\":{\"retries\":" << retries
       << ",\"faults_injected\":" << faults_injected << ",\"events\":[";
   for (size_t i = 0; i < events.size(); ++i) {
@@ -392,6 +393,7 @@ std::optional<WhatIfReport> WhatIfReport::FromJson(const std::string& json) {
     r.vm_index_path = vm->U64("index_path");
     r.vm_scan_path = vm->U64("scan_path");
     r.vm_advisory_built = vm->U64("advisory_built");
+    r.vm_tree_fallbacks = vm->U64("tree_fallback");
   }
   if (const JsonValue* lc = root.Get("lifecycle")) {
     r.retries = lc->U64("retries");
@@ -462,10 +464,12 @@ std::string WhatIfReport::ToText(std::optional<uint64_t> txn_filter) const {
   out << buf;
   std::snprintf(
       buf, sizeof(buf),
-      "vm: cache hit=%llu miss=%llu  index=%llu scan=%llu advisory=%llu\n",
+      "vm: cache hit=%llu miss=%llu  index=%llu scan=%llu advisory=%llu "
+      "tree-fallback=%llu\n",
       (unsigned long long)plan_cache_hits,
       (unsigned long long)plan_cache_misses, (unsigned long long)vm_index_path,
-      (unsigned long long)vm_scan_path, (unsigned long long)vm_advisory_built);
+      (unsigned long long)vm_scan_path, (unsigned long long)vm_advisory_built,
+      (unsigned long long)vm_tree_fallbacks);
   out << buf;
   if (retries || faults_injected || !events.empty()) {
     std::snprintf(buf, sizeof(buf),

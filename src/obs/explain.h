@@ -117,6 +117,7 @@ struct WhatIfReport {
   uint64_t vm_index_path = 0;
   uint64_t vm_scan_path = 0;
   uint64_t vm_advisory_built = 0;
+  uint64_t vm_tree_fallbacks = 0;  // VM-subset misses run by the tree walker
 
   // --- lifecycle -----------------------------------------------------------
   uint64_t retries = 0;

@@ -29,7 +29,7 @@ inline constexpr unsigned kHistogramBuckets = 28;
 namespace internal {
 
 /// Process-wide relaxed flag gating clock-reading instrumentation
-/// (ScopedLatency and the replay workers' busy/idle accounting). Constant-
+/// (ScopedLatency and other wall-clock accounting). Constant-
 /// initialized at namespace scope so the disabled check is one relaxed
 /// load with no static-init guard.
 inline std::atomic<bool> g_timing{false};

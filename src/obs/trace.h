@@ -108,7 +108,7 @@ class Tracer {
 
 /// RAII scoped trace span:
 ///
-///   obs::TraceSpan span("replay.worker", {{"slot", i}});
+///   obs::TraceSpan span("replay.slot", {{"log_index", i}});
 ///
 /// Disabled tracer: one relaxed load in the constructor, a null check in
 /// the destructor. Enabled: two clock reads plus one ring-buffer store.

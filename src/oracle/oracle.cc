@@ -189,8 +189,6 @@ Status Universe::RunSelective(const core::RetroOp& op,
   opts.deps.column_wise = config.deps;
   opts.deps.row_wise = config.deps;
   opts.force_rebuild = config.force_rebuild;
-  opts.parallel = config.parallel;
-  opts.num_threads = config.num_threads;
   opts.hash_jumper = config.hash_jumper;
   opts.verify_hash_hits = config.verify_hash_hits;
   opts.explain = config.explain;

@@ -43,8 +43,6 @@ struct ModeConfig {
   bool hash_jumper = false;
   bool verify_hash_hits = false;
   bool force_rebuild = false; // exercise the rebuild-from-log staging path
-  bool parallel = false;      // serial by default: deterministic schedules
-  int num_threads = 4;
   /// Execution engine for the selective side's database (replay clones
   /// inherit it). Unset = whatever the universe was built with.
   std::optional<sql::ExecEngine> engine;

@@ -286,6 +286,9 @@ Result<ExecResult> Database::Execute(const Statement& stmt,
         std::optional<Result<ExecResult>> vm_result =
             vm::Executor::TryExecute(this, stmt, commit_index, ctx);
         if (vm_result) return std::move(*vm_result);
+        static obs::Counter* const tree_fallback =
+            obs::Registry::Global().counter("uv.vm.tree_fallback");
+        tree_fallback->Inc();
         break;
       }
       default:

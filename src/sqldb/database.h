@@ -284,8 +284,9 @@ class Database {
   /// Read fallback for selectively staged databases (§4.4). When set,
   /// FindTable faults missing tables in from `read_base_` as CoW clones.
   /// `catalog_mu_` guards `tables_`/`dropped_` only while a fallback is
-  /// configured (parallel replay workers may fault in concurrently);
-  /// databases without a fallback take the uncontended path.
+  /// configured (a fault-in mutates the catalog from inside a lookup, so
+  /// lookups from several threads must not race it); databases without a
+  /// fallback take the uncontended path.
   const Database* read_base_ = nullptr;
   std::shared_mutex* read_base_mu_ = nullptr;
   /// Base schema version captured at SetReadFallback time. While the base

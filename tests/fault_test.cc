@@ -760,12 +760,13 @@ TEST_F(FaultTest, BenignFaultSkipsTheSlotAndContinues) {
   EXPECT_TRUE(result.ok()) << result.status().message();
 }
 
-TEST_F(FaultTest, ParallelReplayMarshalsCrashToCallerThread) {
-  // A simulated crash on a pool worker must surface as a CrashException
-  // from Execute() on the caller thread — with the other workers drained,
-  // not deadlocked on the crashed worker's table locks.
+TEST_F(FaultTest, ReplayCrashReachesCallerAndLeavesLiveDbUntouched) {
+  // A simulated crash mid-replay must surface as a CrashException from
+  // Execute() — under the critical-path RTT charge too — before anything
+  // was adopted: the live database stays byte-identical.
   auto u = oracle::Universe::Build(BasicHistory());
-  ASSERT_TRUE(u.ok());
+  auto ref = oracle::Universe::Build(BasicHistory());
+  ASSERT_TRUE(u.ok() && ref.ok());
   auto analysis = (*u)->Analysis();
   ASSERT_TRUE(analysis.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
@@ -774,7 +775,6 @@ TEST_F(FaultTest, ParallelReplayMarshalsCrashToCallerThread) {
   ArmCrashOnce("replay.slot.pre_exec");
   core::RetroactiveEngine::Options opts;
   opts.parallel = true;
-  opts.num_threads = 4;
   core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
   bool caught = false;
   try {
@@ -784,6 +784,11 @@ TEST_F(FaultTest, ParallelReplayMarshalsCrashToCallerThread) {
     EXPECT_EQ(e.site, "replay.slot.pre_exec");
   }
   EXPECT_TRUE(caught);
+  EXPECT_EQ(core::FingerprintDatabase(*(*u)->db()),
+            core::FingerprintDatabase(*(*ref)->db()));
+  sql::StateDiff diff =
+      sql::DiffDatabases(*(*u)->db(), *(*ref)->db(), "crashed", "untouched");
+  EXPECT_TRUE(diff.equal()) << diff.ToString();
 }
 
 TEST_F(FaultTest, SchedulerHonorsCancelledToken) {

@@ -7,12 +7,15 @@
 
 #include <cmath>
 
+#include "core/dep_graph.h"
 #include "core/replay.h"
+#include "core/ultraverse.h"
 #include "oracle/fuzzer.h"
 #include "oracle/oracle.h"
 #include "sqldb/parser.h"
 #include "sqldb/state_diff.h"
 #include "sqldb/value.h"
+#include "workloads/workload.h"
 
 namespace ultraverse::oracle {
 namespace {
@@ -555,6 +558,83 @@ TEST(FuzzSmokeTest, TwoHundredHistoriesAllModePairsNoDivergence) {
   }
   EXPECT_EQ(report.divergences, 0u) << details;
   EXPECT_EQ(report.containment_violations, 0u) << details;
+}
+
+// --- critical path: edge-free pass vs the conflict DAG ----------------------
+
+// Longest path through BuildConflictDag, the reference ConflictCriticalPath
+// must reproduce exactly (it feeds the virtual-RTT model).
+uint32_t LongestDagPath(const std::vector<const core::QueryRW*>& ordered) {
+  std::vector<std::vector<uint32_t>> preds = core::BuildConflictDag(ordered);
+  std::vector<uint32_t> depth(preds.size(), 1);
+  uint32_t longest = 0;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    for (uint32_t p : preds[i]) depth[i] = std::max(depth[i], depth[p] + 1);
+    longest = std::max(longest, depth[i]);
+  }
+  return longest;
+}
+
+// The replay slots of a T+D retroactive remove of `index`.
+std::vector<const core::QueryRW*> RemovePlanSlots(
+    const std::vector<core::QueryRW>& analysis, uint64_t index) {
+  core::ReplayPlan plan = core::ComputeReplayPlan(
+      analysis, index, analysis[index - 1], /*target_occupies_slot=*/true,
+      core::DependencyOptions{});
+  std::vector<const core::QueryRW*> ordered;
+  for (uint64_t idx : plan.replay_indices) {
+    ordered.push_back(&analysis[idx - 1]);
+  }
+  return ordered;
+}
+
+TEST(CriticalPathTest, FuzzHistoriesMatchConflictDag) {
+  size_t checked = 0;
+  for (uint64_t n = 0; n < 200; ++n) {
+    WhatIfCase c = GenerateCase(0xC0FFEE, n);
+    auto u = Universe::Build(c.history);
+    ASSERT_TRUE(u.ok()) << "case " << n << ": " << u.status().message();
+    auto analysis = (*u)->Analysis();
+    ASSERT_TRUE(analysis.ok()) << "case " << n;
+    const std::vector<core::QueryRW>& a = **analysis;
+    // The whole history as one replay sequence, then the T+D plan of a
+    // remove at the case's index.
+    std::vector<const core::QueryRW*> all;
+    for (const auto& rw : a) all.push_back(&rw);
+    EXPECT_EQ(core::ConflictCriticalPath(all), LongestDagPath(all))
+        << "case " << n << " (whole history)";
+    if (c.index >= 1 && c.index <= a.size()) {
+      std::vector<const core::QueryRW*> slots = RemovePlanSlots(a, c.index);
+      EXPECT_EQ(core::ConflictCriticalPath(slots), LongestDagPath(slots))
+          << "case " << n << " (plan of remove " << c.index << ")";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100u);
+}
+
+TEST(CriticalPathTest, WorkloadPlansMatchConflictDagAndEngine) {
+  for (const auto& name : workload::AllWorkloadNames()) {
+    core::Ultraverse uv;
+    workload::Driver driver(workload::MakeWorkload(name, /*scale=*/1), &uv,
+                            {});
+    ASSERT_TRUE(driver.Setup().ok()) << name;
+    ASSERT_TRUE(driver.RunHistory(300).ok()) << name;
+    auto analysis = uv.EnsureAnalysis();
+    ASSERT_TRUE(analysis.ok()) << name;
+    RetroOp op;
+    op.kind = RetroOp::Kind::kRemove;
+    op.index = driver.retro_target_index();
+    std::vector<const core::QueryRW*> slots =
+        RemovePlanSlots(**analysis, op.index);
+    const uint32_t expected = LongestDagPath(slots);
+    EXPECT_EQ(core::ConflictCriticalPath(slots), expected) << name;
+    // The engine charges the same critical path for the same plan.
+    auto result = uv.WhatIfAnalyze(op, core::SystemMode::kTD);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().message();
+    EXPECT_EQ(result->stats.replayed, slots.size()) << name;
+    EXPECT_EQ(result->stats.critical_path, expected) << name;
+  }
 }
 
 TEST(FuzzSmokeTest, GenerationIsDeterministicPerSeed) {

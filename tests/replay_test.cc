@@ -154,6 +154,169 @@ TEST(ConflictDagTest, WildcardWriteActsAsBarrier) {
       << "a value write after a wildcard write orders behind the barrier";
 }
 
+// --- Critical path: the edge-free pass against the DAG's longest path ---
+
+uint32_t LongestDagPath(const std::vector<const QueryRW*>& ordered) {
+  std::vector<std::vector<uint32_t>> preds = BuildConflictDag(ordered);
+  std::vector<uint32_t> depth(preds.size(), 1);
+  uint32_t longest = 0;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    for (uint32_t p : preds[i]) depth[i] = std::max(depth[i], depth[p] + 1);
+    longest = std::max(longest, depth[i]);
+  }
+  return longest;
+}
+
+QueryRW Access(bool write, const std::string& column, const std::string& key,
+               std::initializer_list<std::string> values) {
+  QueryRW rw;
+  (write ? rw.wc : rw.rc).Add(column);
+  RowSet& rows = write ? rw.wr : rw.rr;
+  if (values.size() == 0) rows.AddWildcard(key);
+  for (const auto& v : values) rows.AddValue(key, v);
+  return rw;
+}
+QueryRW ValueWrite(std::initializer_list<std::string> ids) {
+  return Access(true, "T.v", "T.id", ids);
+}
+QueryRW ValueRead(std::initializer_list<std::string> ids) {
+  return Access(false, "T.v", "T.id", ids);
+}
+QueryRW WildWrite() { return Access(true, "T.v", "T.id", {}); }
+QueryRW WildRead() { return Access(false, "T.v", "T.id", {}); }
+
+void ExpectCriticalPathMatchesDag(const std::vector<QueryRW>& queries,
+                                  uint32_t expected) {
+  std::vector<const QueryRW*> ordered;
+  for (const auto& q : queries) ordered.push_back(&q);
+  EXPECT_EQ(LongestDagPath(ordered), expected);
+  EXPECT_EQ(ConflictCriticalPath(ordered), expected);
+}
+
+TEST(ConflictCriticalPathTest, EmptyAndSingle) {
+  ExpectCriticalPathMatchesDag({}, 0);
+  ExpectCriticalPathMatchesDag({ValueWrite({"A"})}, 1);
+}
+
+TEST(ConflictCriticalPathTest, WildcardReadAfterValueWrites) {
+  // A is written twice (depth 2), B once; the wildcard reader waits for the
+  // deepest per-value writer.
+  ExpectCriticalPathMatchesDag(
+      {ValueWrite({"A"}), ValueWrite({"B"}), ValueWrite({"A"}), WildRead()},
+      3);
+  // A later write to B replaces the shallower B entry, not the deeper A.
+  ExpectCriticalPathMatchesDag({ValueWrite({"A"}), ValueWrite({"A"}),
+                                ValueWrite({"B"}), WildRead()},
+                               3);
+}
+
+TEST(ConflictCriticalPathTest, ValueWriteAfterWildcardReader) {
+  ExpectCriticalPathMatchesDag(
+      {ValueWrite({"A"}), WildRead(), ValueWrite({"B"})}, 3);
+  // Value writes do not clear wildcard readers: both B and C wait for it.
+  ExpectCriticalPathMatchesDag({ValueWrite({"A"}), ValueWrite({"A"}),
+                                WildRead(), ValueWrite({"B"}),
+                                ValueWrite({"C"})},
+                               4);
+  // Value readers of other values do not order a value write.
+  ExpectCriticalPathMatchesDag(
+      {ValueWrite({"A"}), ValueRead({"A"}), ValueWrite({"B"})}, 2);
+}
+
+TEST(ConflictCriticalPathTest, QueryReadsAndWritesTheSameColumn) {
+  QueryRW rmw = ValueRead({"A"});
+  rmw.wc.Add("T.v");
+  rmw.wr.AddValue("T.id", "A");
+  ExpectCriticalPathMatchesDag({rmw, rmw, rmw}, 3);
+  QueryRW wild_rmw = WildRead();
+  wild_rmw.wc.Add("T.v");
+  wild_rmw.wr.AddWildcard("T.id");
+  ExpectCriticalPathMatchesDag({ValueWrite({"B"}), wild_rmw, ValueRead({"C"})},
+                               3);
+  // A wildcard read plus a value write by one query stays a wildcard
+  // reader for later value writers.
+  QueryRW mixed = WildRead();
+  mixed.wc.Add("T.v");
+  mixed.wr.AddValue("T.id", "A");
+  ExpectCriticalPathMatchesDag({mixed, ValueWrite({"B"}), ValueRead({"B"})},
+                               3);
+}
+
+TEST(ConflictCriticalPathTest, WildcardWriteActsAsBarrier) {
+  // Readers and writers before the barrier all order behind it...
+  ExpectCriticalPathMatchesDag({ValueWrite({"A"}), ValueWrite({"A"}),
+                                ValueRead({"B"}), WildWrite(),
+                                ValueWrite({"C"})},
+                               4);
+  // ...and it resets the column: a post-barrier wildcard reader depends on
+  // the barrier and the writes after it only.
+  ExpectCriticalPathMatchesDag({ValueWrite({"A"}), ValueWrite({"A"}),
+                                ValueWrite({"A"}), WildWrite(),
+                                ValueWrite({"B"}), WildRead()},
+                               6);
+  ExpectCriticalPathMatchesDag(
+      {WildRead(), WildRead(), WildWrite(), ValueRead({"A"})}, 3);
+}
+
+TEST(ConflictCriticalPathTest, SchemaKeys) {
+  // DDL on t, a query that reads t's schema and writes one row, another
+  // DDL: schema pseudo-rows are wildcard and never match "t.<col>" keys.
+  QueryRW ddl = Access(true, "_S.t", "_S.t", {});
+  QueryRW dml = Access(false, "_S.t", "_S.t", {});
+  dml.wc.Add("t.v");
+  dml.wr.AddValue("t.id", "A");
+  QueryRW other_row = Access(true, "t.v", "t.id", {"B"});
+  ExpectCriticalPathMatchesDag({ddl, dml, other_row, dml, ddl}, 4);
+  // A schema column whose only row info is a "t.<col>" key is wildcard.
+  QueryRW schema_read = Access(false, "_S.t", "t.id", {"A"});
+  ExpectCriticalPathMatchesDag({ddl, schema_read, ddl}, 3);
+}
+
+TEST(ConflictCriticalPathTest, ColumnWithoutRowInfoIsWildcard) {
+  QueryRW bare_write;
+  bare_write.wc.Add("T.v");
+  QueryRW bare_read;
+  bare_read.rc.Add("T.v");
+  ExpectCriticalPathMatchesDag({ValueWrite({"A"}), ValueWrite({"B"}),
+                                bare_read, ValueWrite({"C"}), bare_write,
+                                ValueRead({"D"})},
+                               5);
+}
+
+TEST(ConflictCriticalPathTest, RandomSequencesMatchDag) {
+  // Two tables, two columns each, three RI values: random reads and writes
+  // that are value-specific, wildcard or without row info.
+  Rng rng(2024);
+  const std::vector<std::string> columns = {"T.v", "T.w", "U.v", "_S.T"};
+  for (int round = 0; round < 300; ++round) {
+    std::vector<QueryRW> queries(size_t(rng.UniformInt(0, 24)));
+    for (QueryRW& q : queries) {
+      int accesses = int(rng.UniformInt(1, 3));
+      for (int a = 0; a < accesses; ++a) {
+        const std::string& col = columns[size_t(rng.UniformInt(0, 3))];
+        bool write = rng.UniformInt(0, 1) == 1;
+        (write ? q.wc : q.rc).Add(col);
+        std::string key = col == "_S.T" ? col : col.substr(0, 1) + ".id";
+        RowSet& rows = write ? q.wr : q.rr;
+        switch (rng.UniformInt(0, 3)) {
+          case 0:
+            rows.AddWildcard(key);
+            break;
+          case 1:
+            break;  // no row info
+          default:
+            rows.AddValue(key,
+                          std::string(1, char('A' + rng.UniformInt(0, 2))));
+        }
+      }
+    }
+    std::vector<const QueryRW*> ordered;
+    for (const auto& q : queries) ordered.push_back(&q);
+    ASSERT_EQ(ConflictCriticalPath(ordered), LongestDagPath(ordered))
+        << "round " << round;
+  }
+}
+
 // --- Retroactive ADD and CHANGE end to end --------------------------------------
 
 class RetroOpsTest : public ::testing::Test {
@@ -262,7 +425,11 @@ TEST_F(RetroOpsTest, RetroactiveDdlTakesSchemaRebuildPath) {
   EXPECT_EQ(Balance(1), 300) << "unrelated tables untouched";
 }
 
-// --- Parallel replay determinism (property over worker counts) --------------------
+// --- Serial vs critical-path RTT charge (property over RTT costs) ---------
+//
+// Slots always replay serially; Options::parallel only selects the RTT
+// charge. The parameter, once the replay pool's worker count, is the
+// per-query round-trip cost both charges multiply.
 
 class ParallelDeterminismTest : public ::testing::TestWithParam<int> {};
 
@@ -286,33 +453,48 @@ TEST_P(ParallelDeterminismTest, ParallelEqualsSerial) {
     }
     return uv;
   };
-
-  // Serial ground truth.
-  auto serial = build();
+  const uint64_t rtt = uint64_t(GetParam());
   RetroOp op;
   op.kind = RetroOp::Kind::kRemove;
   op.index = 5;
-  {
-    auto analysis = serial->EnsureAnalysis();
-    ASSERT_TRUE(analysis.ok());
+  auto run = [&](Ultraverse* uv, bool parallel) {
+    auto analysis = uv->EnsureAnalysis();
+    EXPECT_TRUE(analysis.ok());
     RetroactiveEngine::Options eopts;
-    eopts.parallel = false;
-    RetroactiveEngine engine(serial->db(), serial->log(), eopts);
-    ASSERT_TRUE(engine.Execute(op, **analysis, serial->analyzer()).ok());
-  }
+    eopts.parallel = parallel;
+    eopts.rtt_micros_per_query = rtt;
+    RetroactiveEngine engine(uv->db(), uv->log(), eopts);
+    auto stats = engine.Execute(op, **analysis, uv->analyzer());
+    EXPECT_TRUE(stats.ok()) << stats.status().message();
+    return stats.ok() ? *stats : ReplayStats{};
+  };
+
+  auto serial = build();
+  ReplayStats serial_stats = run(serial.get(), false);
+  EXPECT_EQ(serial_stats.virtual_rtt_micros, rtt * serial_stats.replayed)
+      << "serial charge: one round trip per executed slot";
 
   auto parallel = build();
-  {
-    auto analysis = parallel->EnsureAnalysis();
-    ASSERT_TRUE(analysis.ok());
-    RetroactiveEngine::Options eopts;
-    eopts.parallel = true;
-    eopts.num_threads = GetParam();
-    RetroactiveEngine engine(parallel->db(), parallel->log(), eopts);
-    ASSERT_TRUE(engine.Execute(op, **analysis, parallel->analyzer()).ok());
+  ReplayStats parallel_stats = run(parallel.get(), true);
+  EXPECT_EQ(parallel_stats.virtual_rtt_micros,
+            rtt * parallel_stats.critical_path)
+      << "parallel charge: the conflict DAG's critical path";
+  EXPECT_EQ(parallel_stats.replayed, serial_stats.replayed);
+  // ...and that critical path is the longest path through the DAG of the
+  // replayed slots.
+  auto analysis = parallel->EnsureAnalysis();
+  ASSERT_TRUE(analysis.ok());
+  ReplayPlan plan = ComputeReplayPlan(**analysis, op.index,
+                                      (**analysis)[op.index - 1], true,
+                                      DependencyOptions{});
+  std::vector<const QueryRW*> slots;
+  for (uint64_t idx : plan.replay_indices) {
+    slots.push_back(&(**analysis)[idx - 1]);
   }
+  EXPECT_EQ(parallel_stats.critical_path, LongestDagPath(slots));
+
   EXPECT_EQ(serial->StateFingerprint(), parallel->StateFingerprint())
-      << "workers=" << GetParam();
+      << "rtt=" << rtt;
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelDeterminismTest,

@@ -51,8 +51,9 @@ void MustExec(Database* db, uint64_t commit, const std::string& text) {
 }
 
 uint64_t CounterValue(const std::string& name) {
-  const obs::CounterSnapshot* c =
-      obs::Registry::Global().Collect().FindCounter(name);
+  // FindCounter points into the snapshot: keep it alive past the read.
+  const obs::Snapshot snap = obs::Registry::Global().Collect();
+  const obs::CounterSnapshot* c = snap.FindCounter(name);
   return c ? c->value : 0;
 }
 
@@ -286,6 +287,26 @@ TEST(VmPlanCacheTest, UncompilableStatementsAreNegativeCached) {
   EXPECT_EQ(CounterValue("uv.vm.plan_cache.hit"), hit0 + 1);
 }
 
+TEST(VmPlanCacheTest, TreeFallbackCountsOnlyUncompiledStatements) {
+  obs::Registry::Global().ResetForTest();
+  Database db;
+  db.set_exec_engine(ExecEngine::kVm);
+  uint64_t commit = 1;
+  MustExec(&db, commit++, "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  MustExec(&db, commit++, "CREATE VIEW big AS SELECT id FROM t WHERE v > 10");
+  // Compiled DML and SELECTs never reach the tree walker.
+  MustExec(&db, commit++, "INSERT INTO t (id, v) VALUES (1, 50)");
+  MustExec(&db, commit++, "UPDATE t SET v = v + 1 WHERE id = 1");
+  MustExec(&db, commit++, "SELECT id FROM t WHERE v > 10");
+  EXPECT_EQ(CounterValue("uv.vm.tree_fallback"), 0u);
+  // A view SELECT is outside the subset: every run falls back, whether the
+  // negative verdict was just compiled or came from the plan cache.
+  MustExec(&db, commit++, "SELECT id FROM big");
+  EXPECT_EQ(CounterValue("uv.vm.tree_fallback"), 1u);
+  MustExec(&db, commit++, "SELECT id FROM big");
+  EXPECT_EQ(CounterValue("uv.vm.tree_fallback"), 2u);
+}
+
 TEST(VmPlanCacheTest, CompileLatencyRecordedWhenTimingEnabled) {
   obs::Registry::Global().ResetForTest();
   obs::SetTiming(true);
@@ -295,8 +316,8 @@ TEST(VmPlanCacheTest, CompileLatencyRecordedWhenTimingEnabled) {
   MustExec(&db, commit++, "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
   MustExec(&db, commit++, "INSERT INTO t (id, v) VALUES (1, 2)");
   obs::SetTiming(false);
-  const obs::HistogramSnapshot* h =
-      obs::Registry::Global().Collect().FindHistogram("uv.vm.compile_us");
+  const obs::Snapshot snap = obs::Registry::Global().Collect();
+  const obs::HistogramSnapshot* h = snap.FindHistogram("uv.vm.compile_us");
   ASSERT_NE(h, nullptr);
   EXPECT_GE(h->count, 1u);
 }
