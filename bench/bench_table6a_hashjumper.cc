@@ -9,8 +9,12 @@
 //     committed — replaying it makes the alternate timeline reconverge with
 //     the original one, which the Hash-jumper detects, early-terminating
 //     the replay of everything after it (§4.5),
-//   * 100% = no overwrite: the whole chain replays (and implicitly
-//     measures the overhead of running with Hash-jumper enabled).
+//   * 100% = no overwrite: the whole chain replays. A second 100% run
+//     with the Hash-jumper and its eager hash log off gives the cost of
+//     running with the Hash-jumper enabled when it never fires.
+//
+// It is the one fixture where the Hash-jumper fires, so the binary exits
+// non-zero unless every workload jumps at 10/25/50% and not at 100%.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -23,6 +27,7 @@ using core::Ultraverse;
 
 struct Run {
   double seconds = 0;
+  double wall_ms = 0;  // engine only, no virtual RTT
   bool hit = false;
   uint64_t jump_index = 0;
   size_t replayed = 0;
@@ -30,10 +35,11 @@ struct Run {
   double virtual_rtt_ms = 0;
 };
 
-Run RunOne(const std::string& name, size_t history, double hit_point) {
+Run RunOne(const std::string& name, size_t history, double hit_point,
+           bool hash_jumper = true) {
   Ultraverse::Options uv_opts;
-  uv_opts.hash_jumper = true;
-  uv_opts.eager_hash_log = true;
+  uv_opts.hash_jumper = hash_jumper;
+  uv_opts.eager_hash_log = hash_jumper;
   Ultraverse uv(uv_opts);
   workload::Driver::Config config;
   config.dependency_rate = 0.0;  // background traffic is independent
@@ -89,6 +95,7 @@ Run RunOne(const std::string& name, size_t history, double hit_point) {
   }
   Run run;
   run.seconds = TotalSeconds(*stats);
+  run.wall_ms = stats->total_seconds * 1e3;
   run.hit = stats->hash_jump;
   run.jump_index = stats->hash_jump_index;
   run.replayed = stats->replayed;
@@ -97,7 +104,8 @@ Run RunOne(const std::string& name, size_t history, double hit_point) {
   return run;
 }
 
-void RunBench() {
+/// Returns false when some workload's jump pattern is not "YYYn".
+bool RunBench() {
   BenchSession session("table6a_hashjumper");
   PrintHeader("Table 6(a): Hash-jumper runtime vs hash-hit point",
               "paper: runtime proportional to the hit point (e.g. TATP 52s "
@@ -105,28 +113,52 @@ void RunBench() {
   size_t history = 1200 * size_t(HistoryScale());
   double hit_points[] = {0.10, 0.25, 0.50, 1.0};
 
-  PrintRow({"bench", "at 10%", "at 25%", "at 50%", "at 100%", "hits"});
+  PrintRow({"bench", "at 10%", "at 25%", "at 50%", "at 100%", "hits",
+            "100% off", "hj-cost"});
+  bool shape_ok = true;
   for (const auto& name : workload::AllWorkloadNames()) {
-    std::vector<std::string> cells;
-    std::string hits;
-    for (double hp : hit_points) {
-      Run run = RunOne(name, history, hp);
-      cells.push_back(FmtSeconds(run.seconds));
-      hits += run.hit ? "Y" : "n";
+    auto record = [&](const Run& run, double hp, bool hash_jumper) {
       session.Row({{"workload", name},
                    {"hit_point", hp},
+                   {"hash_jumper", hash_jumper ? 1 : 0},
                    {"seconds", run.seconds},
+                   {"wall_ms", run.wall_ms},
                    {"hash_jump", run.hit ? 1 : 0},
                    {"jump_index", run.jump_index},
                    {"replayed", run.replayed},
                    {"critical_path", run.critical_path},
                    {"virtual_rtt_ms", run.virtual_rtt_ms}});
+    };
+    std::vector<std::string> cells;
+    std::string hits;
+    Run full;
+    for (double hp : hit_points) {
+      full = RunOne(name, history, hp);
+      cells.push_back(FmtSeconds(full.seconds));
+      hits += full.hit ? "Y" : "n";
+      record(full, hp, true);
     }
-    PrintRow({name, cells[0], cells[1], cells[2], cells[3], hits});
+    // The 100% history again with no Hash-jumper and no table digests:
+    // both replay the same slots, so the engine wall-time ratio (zero RTT)
+    // is the cost of an enabled Hash-jumper that never fires.
+    Run off = RunOne(name, history, 1.0, /*hash_jumper=*/false);
+    record(off, 1.0, false);
+    char cost[32];
+    std::snprintf(cost, sizeof(cost), "%+.0f%%",
+                  100.0 * (full.wall_ms / off.wall_ms - 1.0));
+    PrintRow({name, cells[0], cells[1], cells[2], cells[3], hits,
+              FmtSeconds(off.seconds), cost});
+    if (hits != "YYYn") {
+      std::fprintf(stderr, "%s: jump pattern %s, expected YYYn\n",
+                   name.c_str(), hits.c_str());
+      shape_ok = false;
+    }
   }
   std::printf("\nShape check: runtime grows with the hash-hit point "
               "(Y = jump fired);\nthe 100%% column replays the full chain "
-              "(no hit) — Table 6(a).\n");
+              "(no hit) — Table 6(a).\nhj-cost: engine wall time at 100%% "
+              "with the Hash-jumper on vs off.\n");
+  return shape_ok;
 }
 
 }  // namespace
@@ -134,6 +166,5 @@ void RunBench() {
 
 int main(int argc, char** argv) {
   ultraverse::bench::ParseBenchFlags(&argc, argv);
-  ultraverse::bench::RunBench();
-  return 0;
+  return ultraverse::bench::RunBench() ? 0 : 1;
 }

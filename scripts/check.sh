@@ -16,7 +16,9 @@
 #    bytecode VM with final states diffed (DESIGN.md §12), and an
 #    explain-soundness leg (fuzz_whatif --check-explain): every pruned
 #    transaction's stated reason re-validated against a forced-replay
-#    counterfactual (DESIGN.md §13), and a concurrent what-if smoke
+#    counterfactual (DESIGN.md §13), the Table 6(a) Hash-jumper bench
+#    (exits non-zero unless the jump fires at the 10/25/50% hit points
+#    and not at 100% on every workload), and a concurrent what-if smoke
 #    (fuzz_whatif --concurrent): analyst threads running snapshot-pinned
 #    what-ifs against a per-snapshot full-naive oracle while writer
 #    threads commit (DESIGN.md §14), a multi-client server differential
@@ -77,6 +79,8 @@ run_plain() {
   echo "== plain: explain-soundness smoke =="
   build/tools/fuzz_whatif --check-explain --seed 1 --histories 60 \
     --out-dir "$SWEEP_DIR"
+  echo "== plain: Hash-jumper fires at 10/25/50%, not at 100% (Table 6(a)) =="
+  (cd "$SWEEP_DIR" && "$ROOT"/build/bench/bench_table6a_hashjumper)
   echo "== plain: predicate-region containment smoke (DESIGN.md §15) =="
   build/tools/fuzz_whatif --check-predicates --seed 1 --histories 200 \
     --out-dir "$SWEEP_DIR"

@@ -343,19 +343,24 @@ ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
 
 namespace {
 
+/// Table part of a cell or row-set key: "t" of "t.col" or of "_S.t".
+std::string_view KeyTable(std::string_view key, bool is_schema) {
+  return is_schema ? key.substr(3) : key.substr(0, key.find('.'));
+}
+
 /// RI values query `rw` touches in the table of cell column `column`, from
 /// its row set `rs` (keys "t.<ri_col>" or "_S.t"). nullptr means every row:
-/// a wildcard entry, or no row info recorded (conservative).
+/// a wildcard entry, or no row info recorded (conservative). Runs once per
+/// (query, cell) in both conflict passes, so it compares views and never
+/// allocates.
 const std::set<std::string>* CellValues(const RowSet& rs,
-                                        const std::string& column) {
-  const bool is_schema = column.rfind("_S.", 0) == 0;
-  const std::string table =
-      is_schema ? column.substr(3) : column.substr(0, column.find('.'));
+                                        std::string_view column) {
+  const bool is_schema = column.starts_with("_S.");
+  const std::string_view table = KeyTable(column, is_schema);
   for (const auto& [key, vals] : rs.cols) {
-    bool schema_key = key.rfind("_S.", 0) == 0;
-    if (schema_key != is_schema) continue;
-    std::string t = is_schema ? key.substr(3) : key.substr(0, key.find('.'));
-    if (t != table) continue;
+    const std::string_view k = key;
+    if (k.starts_with("_S.") != is_schema) continue;
+    if (KeyTable(k, is_schema) != table) continue;
     return vals.wildcard ? nullptr : &vals.values;
   }
   return nullptr;

@@ -805,6 +805,9 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     // prefix universe from scratch (checkpoint-less slow path).
     temp_db_ = std::make_unique<sql::Database>();
     temp_db_->set_exec_engine(db_->exec_engine());
+    // Digests only matter here if the Hash-jumper will probe them; the CoW
+    // staging path below inherits the live database's mode instead.
+    temp_db_->SetTableHashing(hash_jumper_on && db_->table_hashing());
     for (uint64_t idx = 1; idx < op.index; ++idx) {
       Slot slot{false, idx};
       UV_RETURN_NOT_OK(ExecuteSlot(temp_db_.get(), slot, op, idx,
@@ -916,8 +919,9 @@ Result<ReplayStats> RetroactiveEngine::Execute(
         // that silently skipped adoption. The differential oracle caught
         // it; see DESIGN.md §9.)
         if (!original) return false;
-        const Digest256& replayed = table->table_hash().value();
-        if (!(replayed == *original)) return false;
+        // A table that keeps no digest cannot prove convergence: a miss.
+        const TableHash* replayed = table->table_hash();
+        if (!replayed || !(replayed->value() == *original)) return false;
       }
       return true;
     }();
@@ -956,6 +960,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
         if (!live) return false;
         original = live->Clone();
       }
+      original->SetHashing(false);  // rows are compared, not digests
       original->RollbackToIndex(idx);
       std::multiset<std::string> a, b;
       replayed->Scan([&](sql::RowId, const sql::Row& row) {

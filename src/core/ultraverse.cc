@@ -231,6 +231,9 @@ class Ultraverse::ReplayBridge : public app::SqlBridge {
 Ultraverse::Ultraverse(Options options)
     : options_(options), clock_(options.rtt_micros), rng_(options.rng_seed) {
   if (options_.exec_engine) db_.set_exec_engine(*options_.exec_engine);
+  // Table digests exist only to be logged: without the eager hash log no
+  // commit, undo or replay hashes a row.
+  db_.SetTableHashing(options_.eager_hash_log);
   if (!options_.wal_path.empty()) {
     sql::WalOptions wal_options;
     wal_options.fsync_every_n = options_.wal_fsync_every_n;
@@ -322,7 +325,7 @@ Result<uint64_t> Ultraverse::CommitEntry(sql::LogEntry entry) {
   if (options_.eager_hash_log) {
     for (const auto& name : db_.TableNames()) {
       const sql::Table* t = db_.FindTable(name);
-      const Digest256& h = t->table_hash().value();
+      const Digest256& h = t->table_hash()->value();
       auto it = last_hash_.find(name);
       if (it == last_hash_.end() || !(it->second == h)) {
         entry.table_hashes[name] = h;
@@ -549,7 +552,7 @@ void Ultraverse::OnPublishedLocked(const RetroOp& op) {
     sql::LogEntry& back = log_.mutable_entries().back();
     last_hash_.clear();
     for (const auto& name : db_.TableNames()) {
-      const Digest256& h = db_.FindTable(name)->table_hash().value();
+      const Digest256& h = db_.FindTable(name)->table_hash()->value();
       back.table_hashes[name] = h;
       last_hash_[name] = h;
     }

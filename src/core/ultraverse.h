@@ -109,7 +109,9 @@ class Ultraverse {
     /// logger whose overhead Table 7(c) measures). Off = compute lazily at
     /// what-if time.
     bool eager_analysis = false;
-    /// Log per-table hashes at commit (needed by Hash-jumper).
+    /// Keep per-table Hash-jumper digests and log them at commit (needed
+    /// by hash_jumper to ever fire). Off: no table keeps a digest, and no
+    /// commit, undo or replay hashes a row.
     bool eager_hash_log = false;
     uint64_t rng_seed = 42;
 

@@ -138,6 +138,7 @@ Result<std::unique_ptr<Universe>> Universe::Build(
   std::unique_ptr<Universe> u(new Universe);
   u->db_ = std::make_unique<sql::Database>();
   if (engine) u->db_->set_exec_engine(*engine);
+  u->db_->SetTableHashing(true);  // digests are logged below
   for (const auto& text : history) {
     UV_ASSIGN_OR_RETURN(sql::StatementPtr stmt,
                         sql::Parser::ParseStatement(text));
@@ -160,7 +161,7 @@ Result<std::unique_ptr<Universe>> Universe::Build(
     for (const auto& name : u->db_->TableNames()) {
       const sql::Table* t = u->db_->FindTable(name);
       if (!t) continue;
-      const Digest256& h = t->table_hash().value();
+      const Digest256& h = t->table_hash()->value();
       auto it = u->last_hash_.find(name);
       if (it == u->last_hash_.end() || !(it->second == h)) {
         entry.table_hashes[name] = h;

@@ -185,6 +185,7 @@ Table* Database::FindTable(const std::string& name) {
     if (!src) return nullptr;
     staged = src->Clone();
   }
+  staged->SetHashing(table_hashing_);
   // Lazy CoW fault-in (§4.4): a replayed query strayed outside the staged
   // table set and pulled the table in from the live database.
   static obs::Counter* const fault_ins =
@@ -422,11 +423,7 @@ Result<ExecResult> Database::ExecCreateTable(const CreateTableStatement& stmt) {
     if (stmt.if_not_exists) return ExecResult{};
     return Status::AlreadyExists("table " + stmt.schema.name);
   }
-  auto table = std::make_unique<Table>(stmt.schema);
-  // Primary keys are always hash-indexed for point lookups.
-  int pk = stmt.schema.PrimaryKeyIndex();
-  if (pk >= 0) UV_RETURN_NOT_OK(table->CreateIndex(pk));
-  tables_[stmt.schema.name] = std::move(table);
+  UV_ASSIGN_OR_RETURN(tables_[stmt.schema.name], NewTable(stmt.schema));
   auto_increment_[stmt.schema.name] = 1;
   return ExecResult{};
 }
@@ -435,16 +432,14 @@ Result<ExecResult> Database::ExecAlterTable(const AlterTableStatement& stmt) {
   Table* table = FindTable(stmt.table);
   if (!table) return Status::NotFound("table " + stmt.table);
   if (stmt.action == AlterAction::kAddColumn) {
-    // Widen every row with NULL; rebuilding derived state keeps the hash
-    // and indexes in sync with the restructured rows.
+    // Widen every row with NULL into a fresh table, whose inserts rebuild
+    // the indexes (and the digest, when kept) for the restructured rows.
     TableSchema schema = table->schema();
     if (schema.ColumnIndex(stmt.add_column.name) >= 0) {
       return Status::AlreadyExists("column " + stmt.add_column.name);
     }
     schema.columns.push_back(stmt.add_column);
-    auto new_table = std::make_unique<Table>(schema);
-    int pk = schema.PrimaryKeyIndex();
-    if (pk >= 0) UV_RETURN_NOT_OK(new_table->CreateIndex(pk));
+    UV_ASSIGN_OR_RETURN(std::unique_ptr<Table> new_table, NewTable(schema));
     table->Scan([&](RowId, const Row& row) {
       Row wide = row;
       wide.push_back(Value::Null());
@@ -459,9 +454,7 @@ Result<ExecResult> Database::ExecAlterTable(const AlterTableStatement& stmt) {
   int drop = schema.ColumnIndex(stmt.drop_column);
   if (drop < 0) return Status::NotFound("column " + stmt.drop_column);
   schema.columns.erase(schema.columns.begin() + drop);
-  auto new_table = std::make_unique<Table>(schema);
-  int pk = schema.PrimaryKeyIndex();
-  if (pk >= 0) UV_RETURN_NOT_OK(new_table->CreateIndex(pk));
+  UV_ASSIGN_OR_RETURN(std::unique_ptr<Table> new_table, NewTable(schema));
   table->Scan([&](RowId, const Row& row) {
     Row narrow = row;
     narrow.erase(narrow.begin() + drop);
@@ -497,9 +490,8 @@ Result<ExecResult> Database::ExecDropTable(const Statement& stmt) {
 Result<ExecResult> Database::ExecTruncate(const std::string& name) {
   Table* table = FindTable(name);
   if (!table) return Status::NotFound("table " + name);
-  auto fresh = std::make_unique<Table>(table->schema());
-  int pk = fresh->schema().PrimaryKeyIndex();
-  if (pk >= 0) UV_RETURN_NOT_OK(fresh->CreateIndex(pk));
+  UV_ASSIGN_OR_RETURN(std::unique_ptr<Table> fresh,
+                      NewTable(table->schema()));
   tables_[name] = std::move(fresh);
   return ExecResult{};
 }
@@ -816,11 +808,30 @@ void Database::TrimJournalsBefore(uint64_t commit_index) {
   }
 }
 
+void Database::SetTableHashing(bool on) {
+  table_hashing_ = on;
+  for (auto& [name, table] : tables_) {
+    (void)name;
+    table->SetHashing(on);
+  }
+}
+
+Result<std::unique_ptr<Table>> Database::NewTable(
+    const TableSchema& schema) const {
+  auto table = std::make_unique<Table>(schema);
+  table->SetHashing(table_hashing_);
+  // Primary keys are always hash-indexed for point lookups.
+  int pk = schema.PrimaryKeyIndex();
+  if (pk >= 0) UV_RETURN_NOT_OK(table->CreateIndex(pk));
+  return table;
+}
+
 std::unique_ptr<Database> Database::Clone() const {
   auto copy = std::make_unique<Database>();
   for (const auto& [name, table] : tables_) {
     copy->tables_[name] = table->Clone();
   }
+  copy->table_hashing_ = table_hashing_;
   copy->views_ = views_;
   copy->procedures_ = procedures_;
   copy->triggers_ = triggers_;
@@ -846,6 +857,7 @@ std::unique_ptr<Database> Database::CloneTables(
     const Table* table = FindTable(name);
     if (table) copy->tables_[name] = table->Clone();
   }
+  copy->table_hashing_ = table_hashing_;
   // The catalog rides along in full: it is tiny next to table data, and
   // replayed procedures/triggers/views must resolve without fault-ins.
   copy->views_ = views_;
@@ -875,7 +887,9 @@ Status Database::AdoptTables(const Database& src,
       auto_increment_.erase(name);
       continue;
     }
-    tables_[name] = t->Clone();
+    std::unique_ptr<Table> adopted = t->Clone();
+    adopted->SetHashing(table_hashing_);
+    tables_[name] = std::move(adopted);
     auto it = src.auto_increment_.find(name);
     if (it != src.auto_increment_.end()) auto_increment_[name] = it->second;
   }

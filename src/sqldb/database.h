@@ -216,6 +216,14 @@ class Database {
   /// makes all replay modes agree (see DESIGN.md §9).
   void SeedAutoIncrementFloor(const std::map<std::string, int64_t>& floors);
 
+  /// Hash-jumper digests (§4.5): while on, every table keeps its
+  /// incremental TableHash (Table::SetHashing); while off (the default), no
+  /// row is ever hashed. Turning it on scans each table once. Clone() and
+  /// CloneTables() inherit the mode; tables created, faulted in or adopted
+  /// take this database's mode.
+  void SetTableHashing(bool on);
+  bool table_hashing() const { return table_hashing_; }
+
   /// Full logical footprint (shared CoW state counted in full).
   size_t ApproxMemoryBytes() const;
 
@@ -279,7 +287,11 @@ class Database {
   Result<std::string> ResolveWritableTarget(const std::string& name,
                                             ExprPtr* extra_where) const;
 
+  /// An empty table in this database's hashing mode, primary key indexed.
+  Result<std::unique_ptr<Table>> NewTable(const TableSchema& schema) const;
+
   std::map<std::string, std::unique_ptr<Table>> tables_;
+  bool table_hashing_ = false;  // see SetTableHashing
 
   /// Read fallback for selectively staged databases (§4.4). When set,
   /// FindTable faults missing tables in from `read_base_` as CoW clones.

@@ -7,16 +7,31 @@ namespace ultraverse::sql {
 
 // --- CoW materialization ---------------------------------------------------
 
+namespace {
+
+/// True when `p` holds the only reference, so the caller may write in place.
+/// use_count() is a relaxed load: reading 1 does not order this thread after
+/// a sibling that read the object and then dropped its reference from
+/// another thread (a staged what-if copying a shared page, or a released
+/// snapshot), so an in-place write would race those reads. Copying the
+/// pointer is an acq_rel increment of the same count, which does.
+template <typename T>
+bool SoleOwner(const std::shared_ptr<T>& p) {
+  if (p.use_count() > 1) return false;
+  std::shared_ptr<T> sync = p;
+  return true;
+}
+
+}  // namespace
+
 Table::RowPage* Table::OwnedPage(RowId id) {
   std::shared_ptr<RowPage>& page = pages_[PageIndex(id)];
-  if (page.use_count() > 1) page = std::make_shared<RowPage>(*page);
+  if (!SoleOwner(page)) page = std::make_shared<RowPage>(*page);
   return page.get();
 }
 
 Table::IndexMap* Table::OwnedIndexes() {
-  if (indexes_.use_count() > 1) {
-    indexes_ = std::make_shared<IndexMap>(*indexes_);
-  }
+  if (!SoleOwner(indexes_)) indexes_ = std::make_shared<IndexMap>(*indexes_);
   return indexes_.get();
 }
 
@@ -85,7 +100,7 @@ Result<RowId> Table::Insert(Row row, uint64_t commit_index) {
   const Row& stored = page->rows[Slot(id)];
   NoteRowTypes(stored);
   IndexAdd(id, stored);
-  hash_.AddRow(EncodeRow(stored));
+  HashAdd(stored);
   AppendJournal({commit_index, UndoOp::kInsert, id, {}, {}});
   return id;
 }
@@ -95,7 +110,7 @@ Status Table::Delete(RowId id, uint64_t commit_index) {
   RowPage* page = OwnedPage(id);
   Row& row = page->rows[Slot(id)];
   IndexRemove(id, row);
-  hash_.RemoveRow(EncodeRow(row));
+  HashRemove(row);
   page->alive[Slot(id)] = 0;
   --live_count_;
   AppendJournal({commit_index, UndoOp::kDelete, id, row, {}});
@@ -111,7 +126,7 @@ Status Table::Update(RowId id, Row new_row, uint64_t commit_index) {
   RowPage* page = OwnedPage(id);
   Row& row = page->rows[Slot(id)];
   IndexRemove(id, row);
-  hash_.RemoveRow(EncodeRow(row));
+  HashRemove(row);
   std::vector<uint8_t> mask(row.size(), 0);
   for (size_t i = 0; i < row.size(); ++i) {
     if (!row[i].Equals(new_row[i])) mask[i] = 1;
@@ -120,7 +135,7 @@ Status Table::Update(RowId id, Row new_row, uint64_t commit_index) {
   row = std::move(new_row);
   NoteRowTypes(row);
   IndexAdd(id, row);
-  hash_.AddRow(EncodeRow(row));
+  HashAdd(row);
   return Status::OK();
 }
 
@@ -222,7 +237,7 @@ void Table::ApplyUndo(UndoEntry entry, bool masked) {
     case UndoOp::kInsert:
       if (page->alive[slot]) {
         IndexRemove(entry.row_id, page->rows[slot]);
-        hash_.RemoveRow(EncodeRow(page->rows[slot]));
+        HashRemove(page->rows[slot]);
         page->alive[slot] = 0;
         --live_count_;
       }
@@ -234,13 +249,19 @@ void Table::ApplyUndo(UndoEntry entry, bool masked) {
         ++live_count_;
         NoteRowTypes(page->rows[slot]);
         IndexAdd(entry.row_id, page->rows[slot]);
-        hash_.AddRow(EncodeRow(page->rows[slot]));
+        HashAdd(page->rows[slot]);
       }
       break;
     case UndoOp::kUpdate: {
       Row& row = page->rows[slot];
-      IndexRemove(entry.row_id, row);
-      hash_.RemoveRow(EncodeRow(row));
+      // A masked rollback can undo an UPDATE whose row a kept later DELETE
+      // already removed: the dead row gets its old cells back, but it has
+      // no index entries or digest to maintain.
+      const bool live = page->alive[slot];
+      if (live) {
+        IndexRemove(entry.row_id, row);
+        HashRemove(row);
+      }
       if (masked) {
         // Column-masked: restore only the columns this entry changed, so
         // later cell-independent writes by unselected commits survive.
@@ -253,8 +274,10 @@ void Table::ApplyUndo(UndoEntry entry, bool masked) {
         row = std::move(entry.old_row);
       }
       NoteRowTypes(row);
-      IndexAdd(entry.row_id, row);
-      hash_.AddRow(EncodeRow(row));
+      if (live) {
+        IndexAdd(entry.row_id, row);
+        HashAdd(row);
+      }
       break;
     }
   }
@@ -362,18 +385,13 @@ void Table::TrimJournalBefore(uint64_t commit_index) {
   }
 }
 
-void Table::RebuildDerivedState() {
+void Table::SetHashing(bool on) {
+  if (on == hashing_) return;
+  hashing_ = on;
   hash_.Reset();
-  IndexMap* indexes = OwnedIndexes();
-  for (auto& [col, idx] : *indexes) {
-    (void)col;
-    idx.clear();
-  }
-  Scan([&](RowId id, const Row& row) {
-    for (auto& [col, idx] : *indexes) {
-      idx.emplace(row[col].Encode(), id);
-    }
-    hash_.AddRow(EncodeRow(row));
+  if (!on) return;
+  Scan([&](RowId, const Row& row) {
+    HashAdd(row);
     return true;
   });
 }
@@ -392,6 +410,7 @@ std::unique_ptr<Table> Table::Clone() const {
   copy->trimmed_before_ = trimmed_before_;
   copy->indexes_ = indexes_;  // shared until either side writes
   copy->advisory_cols_ = advisory_cols_;
+  copy->hashing_ = hashing_;
   copy->hash_ = hash_;
   return copy;
 }

@@ -20,8 +20,10 @@ using RowId = uint64_t;
 
 /// A heap table: slotted row storage with tombstones, optional secondary
 /// hash indexes, an undo journal providing point-in-time rollback (the
-/// "system versioning" rollback option of §5), and an incremental
-/// Hash-jumper table hash maintained on every write.
+/// "system versioning" rollback option of §5), and an optional incremental
+/// Hash-jumper table hash (§4.5). The hash is kept only when its database
+/// logs digests (Ultraverse::Options::eager_hash_log); otherwise no write,
+/// undo or replay ever hashes a row.
 ///
 /// Storage is copy-on-write (§4.4 selective staging): rows live in
 /// shared_ptr-backed pages and the journal in sealed shared chunks, so
@@ -174,11 +176,13 @@ class Table {
 
   // --- Hash-jumper -------------------------------------------------------
 
-  const TableHash& table_hash() const { return hash_; }
+  /// The table's incremental digest; nullptr while the table keeps none.
+  const TableHash* table_hash() const { return hashing_ ? &hash_ : nullptr; }
 
-  /// Schema changes (ALTER) restructure all rows: callers use this after
-  /// mutating rows in place to keep hash/indexes consistent.
-  void RebuildDerivedState();
+  /// Starts or stops keeping the digest. Turning it on hashes every live
+  /// row once; from then on each write and undo adds or subtracts the
+  /// digests of the rows it touches.
+  void SetHashing(bool on);
 
   /// Copy-on-write copy (used to stage temporary replay databases): shares
   /// row pages, sealed journal chunks, and the index set with this table.
@@ -244,6 +248,13 @@ class Table {
   void IndexAdd(RowId id, const Row& row);
   void IndexRemove(RowId id, const Row& row);
 
+  void HashAdd(const Row& row) {
+    if (hashing_) hash_.AddRow(EncodeRow(row));
+  }
+  void HashRemove(const Row& row) {
+    if (hashing_) hash_.RemoveRow(EncodeRow(row));
+  }
+
   /// ORs the row's value types into col_type_mask_ (called on every path
   /// that introduces row content: insert, update, and undo restores).
   void NoteRowTypes(const Row& row) {
@@ -276,7 +287,8 @@ class Table {
   uint64_t trimmed_before_ = 0;
   std::shared_ptr<IndexMap> indexes_;
   std::set<int> advisory_cols_;  // subset of indexes_ keys; see above
-  TableHash hash_;
+  bool hashing_ = false;
+  TableHash hash_;  // zero while !hashing_
 };
 
 }  // namespace ultraverse::sql

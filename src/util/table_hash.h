@@ -14,6 +14,10 @@ namespace ultraverse {
 /// digest, deleting subtracts it, and an update is delete+insert. The cost
 /// per query is therefore linear in the rows it touches and constant in the
 /// table size, and the hash is independent of physical row order.
+///
+/// A sql::Table keeps one only while its database has table hashing on,
+/// which is where digests are logged (Ultraverse::Options::eager_hash_log,
+/// the oracle's universes); with it off no row is ever hashed.
 class TableHash {
  public:
   TableHash() = default;

@@ -183,6 +183,115 @@ TEST(HashVerifyTest, VerifiedHitStillJumps) {
   EXPECT_EQ(r->rows[0][0].AsInt(), 787) << "original state retained";
 }
 
+// --- Table digests exist only with the eager hash log ------------------------------
+
+Digest256 FromScratchHash(const sql::Table& t) {
+  TableHash rebuilt;
+  t.Scan([&](sql::RowId, const sql::Row& row) {
+    rebuilt.AddRow(sql::EncodeRow(row));
+    return true;
+  });
+  return rebuilt.value();
+}
+
+/// Two tables, a retroactive target early in the history, then traffic.
+/// Returns the target's log index.
+uint64_t BuildDigestHistory(Ultraverse* uv) {
+  EXPECT_TRUE(uv->ExecuteSql("CREATE TABLE a (id INT PRIMARY KEY, v INT)")
+                  .ok());
+  EXPECT_TRUE(uv->ExecuteSql("CREATE TABLE b (id INT PRIMARY KEY, v INT)")
+                  .ok());
+  EXPECT_TRUE(uv->ExecuteSql("INSERT INTO a VALUES (1, 0)").ok());
+  EXPECT_TRUE(uv->ExecuteSql("UPDATE a SET v = v + 5 WHERE id = 1").ok());
+  uint64_t target = uv->log()->last_index();
+  for (int i = 2; i < 30; ++i) {
+    std::string id = std::to_string(i);
+    EXPECT_TRUE(uv->ExecuteSql("INSERT INTO b VALUES (" + id + ", " + id +
+                               ")")
+                    .ok());
+    EXPECT_TRUE(
+        uv->ExecuteSql("UPDATE a SET v = v + " + id + " WHERE id = 1").ok());
+    if (i % 3 == 0) {
+      EXPECT_TRUE(uv->ExecuteSql("DELETE FROM b WHERE id = " +
+                                 std::to_string(i - 1))
+                      .ok());
+    }
+  }
+  return target;
+}
+
+/// Selective publish, then a checkpoint so the next what-if must take the
+/// rebuild-from-log staging path.
+void PublishSelectiveThenRebuild(Ultraverse* uv, uint64_t target) {
+  RetroOp op;
+  op.kind = RetroOp::Kind::kRemove;
+  op.index = target;
+  auto selective = uv->WhatIf(op, SystemMode::kTD);
+  ASSERT_TRUE(selective.ok());
+  EXPECT_FALSE(selective->schema_rebuild);
+  EXPECT_TRUE(uv->ExecuteSql("INSERT INTO b VALUES (100, 1)").ok());
+  uv->Checkpoint();
+  EXPECT_TRUE(uv->ExecuteSql("UPDATE a SET v = 0 WHERE id = 1").ok());
+  op.index = target - 1;  // the INSERT into a, behind the trim horizon
+  auto rebuilt = uv->WhatIf(op, SystemMode::kTD);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_TRUE(rebuilt->schema_rebuild);
+}
+
+TEST(TableDigestTest, DefaultOptionsKeepAndLogNoDigests) {
+  Ultraverse uv;
+  uint64_t target = BuildDigestHistory(&uv);
+  EXPECT_FALSE(uv.db()->table_hashing());
+  auto snap = uv.SnapshotHistory();
+  ASSERT_TRUE(snap.ok());
+  RetroOp op;
+  op.kind = RetroOp::Kind::kRemove;
+  op.index = target;
+  ASSERT_TRUE(uv.WhatIfAnalyzeAt(**snap, op, SystemMode::kTD,
+                                 /*full_naive=*/true)
+                  .ok());
+  for (const auto& name : (*snap)->db->TableNames()) {
+    EXPECT_EQ((*snap)->db->FindTable(name)->table_hash(), nullptr) << name;
+  }
+  PublishSelectiveThenRebuild(&uv, target);
+  for (uint64_t i = 1; i <= uv.log()->size(); ++i) {
+    EXPECT_TRUE(uv.log()->at(i).table_hashes.empty()) << "entry " << i;
+  }
+  for (const auto& name : uv.db()->TableNames()) {
+    EXPECT_EQ(uv.db()->FindTable(name)->table_hash(), nullptr) << name;
+  }
+}
+
+TEST(TableDigestTest, EagerHashLogRecordsFromScratchDigests) {
+  Ultraverse::Options opts;
+  opts.eager_hash_log = true;
+  Ultraverse uv(opts);
+  uint64_t target = BuildDigestHistory(&uv);
+  // Each table's latest logged digest must equal a from-scratch hash of the
+  // live table.
+  auto expect_logged_digests_exact = [&](const char* when) {
+    std::map<std::string, Digest256> latest;
+    for (uint64_t i = 1; i <= uv.log()->size(); ++i) {
+      for (const auto& [table, digest] : uv.log()->at(i).table_hashes) {
+        latest[table] = digest;
+      }
+    }
+    for (const auto& name : uv.db()->TableNames()) {
+      const sql::Table* t = uv.db()->FindTable(name);
+      ASSERT_NE(t->table_hash(), nullptr) << when << ": " << name;
+      EXPECT_EQ(t->table_hash()->value(), FromScratchHash(*t))
+          << when << ": " << name;
+      ASSERT_TRUE(latest.count(name)) << when << ": " << name;
+      EXPECT_EQ(latest[name], FromScratchHash(*t)) << when << ": " << name;
+    }
+  };
+  expect_logged_digests_exact("after history");
+  PublishSelectiveThenRebuild(&uv, target);
+  expect_logged_digests_exact("after rebuild-path publish");
+  ASSERT_TRUE(uv.ExecuteSql("INSERT INTO a VALUES (2, 2)").ok());
+  expect_logged_digests_exact("after a post-publish commit");
+}
+
 // --- Facade odds and ends ----------------------------------------------------------
 
 TEST(FacadeTest, ScenarioTagsRecordBranchPoints) {

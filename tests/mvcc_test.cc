@@ -246,6 +246,41 @@ TEST(MvccSharedFallbackTest, ConcurrentFaultInsFromSharedBase) {
   EXPECT_EQ(r->rows[0][0].AsInt(), 1);
 }
 
+// A staged copy that undoes commits on another thread reads the pages and
+// index set it shares with the base, copies them and then drops its
+// reference. The base's next write sees itself as sole owner and writes in
+// place. Nothing but the reference count orders the two threads here (the
+// done flag is relaxed on purpose), so under TSan this reports a race
+// unless the sole-owner check synchronizes with the dropped reference.
+TEST(MvccSharedFallbackTest, DroppedStagedCopyOrdersBaseWriteInPlace) {
+  sql::Database base;
+  uint64_t c = 0;
+  ASSERT_TRUE(base.ExecuteSql("CREATE TABLE t (id INT PRIMARY KEY, v INT)",
+                              ++c)
+                  .ok());
+  for (int i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(base.ExecuteSql("INSERT INTO t (id, v) VALUES (" +
+                                    std::to_string(i) + ", 0)",
+                                ++c)
+                    .ok());
+  }
+  ASSERT_TRUE(base.ExecuteSql("UPDATE t SET v = 9 WHERE id = 2", ++c).ok());
+  const uint64_t undone = c;
+  std::unique_ptr<sql::Database> staged = base.CloneTables({"t"});
+  std::atomic<bool> dropped{false};
+  std::thread sibling([&] {
+    staged->RollbackCommitsInTables({undone}, {"t"});
+    staged.reset();
+    dropped.store(true, std::memory_order_relaxed);
+  });
+  while (!dropped.load(std::memory_order_relaxed)) std::this_thread::yield();
+  ASSERT_TRUE(base.ExecuteSql("UPDATE t SET v = 5 WHERE id = 2", ++c).ok());
+  sibling.join();
+  auto r = base.ExecuteSql("SELECT v FROM t WHERE id = 2", ++c);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows[0][0].AsInt(), 5);
+}
+
 // --- Snapshots and the epoch ------------------------------------------------
 
 TEST(MvccSnapshotTest, SnapshotReusedUntilEpochAdvances) {

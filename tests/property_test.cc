@@ -3,11 +3,14 @@
 //  * replay equivalence: pruned (T+D) retroactive results equal the naive
 //    full-rollback baseline on random histories and random retro ops,
 //  * undo-journal point-in-time correctness against shadow snapshots,
-//  * incremental table hash == from-scratch hash after random DML,
+//  * incremental table hash == from-scratch hash after random DML, after
+//    switching hashing on mid-history, after rollback, and across clones
+//    and table adoption,
 //  * Mahif and Ultraverse agree on numeric-only flat histories.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "core/ultraverse.h"
 #include "mahif/mahif.h"
@@ -175,38 +178,155 @@ TEST_P(JournalPropertyTest, RollbackToIndexMatchesShadowSnapshots) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalPropertyTest,
                          ::testing::Range(uint64_t(1), uint64_t(7)));
 
-TEST(TableHashPropertyTest, IncrementalEqualsRebuiltAfterRandomDml) {
-  sql::Database db;
-  ASSERT_TRUE(
-      db.ExecuteSql("CREATE TABLE t (id INT PRIMARY KEY, v INT)", 1).ok());
-  Rng rng(99);
-  int next_id = 1;
-  for (int i = 0; i < 300; ++i) {
-    std::string q;
-    switch (rng.UniformInt(0, 2)) {
-      case 0:
-        q = "INSERT INTO t VALUES (" + std::to_string(next_id++) + ", " +
-            std::to_string(rng.UniformInt(0, 9)) + ")";
-        break;
-      case 1:
-        q = "UPDATE t SET v = " + std::to_string(rng.UniformInt(0, 9)) +
-            " WHERE id = " + std::to_string(rng.UniformInt(1, next_id));
-        break;
-      default:
-        q = "DELETE FROM t WHERE id = " +
-            std::to_string(rng.UniformInt(1, next_id));
-        break;
+/// Random single-row INSERT/UPDATE/DELETE traffic on `table` (schema
+/// `id INT PRIMARY KEY, v INT`), tagged with consecutive commit indexes.
+struct RandomDml {
+  explicit RandomDml(uint64_t seed) : rng(seed) {}
+
+  void Run(sql::Database* db, const std::string& table, int n) {
+    for (int i = 0; i < n; ++i) {
+      std::string q;
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          q = "INSERT INTO " + table + " VALUES (" +
+              std::to_string(next_id++) + ", " +
+              std::to_string(rng.UniformInt(0, 9)) + ")";
+          break;
+        case 1:
+          q = "UPDATE " + table + " SET v = " +
+              std::to_string(rng.UniformInt(0, 9)) +
+              " WHERE id = " + std::to_string(rng.UniformInt(1, next_id));
+          break;
+        default:
+          q = "DELETE FROM " + table + " WHERE id = " +
+              std::to_string(rng.UniformInt(1, next_id));
+          break;
+      }
+      ASSERT_TRUE(db->ExecuteSql(q, commit++).ok()) << q;
     }
-    ASSERT_TRUE(db.ExecuteSql(q, uint64_t(i + 2)).ok());
   }
-  sql::Table* t = db.FindTable("t");
-  Digest256 incremental = t->table_hash().value();
+
+  Rng rng;
+  int next_id = 1;
+  uint64_t commit = 1;
+};
+
+Digest256 FromScratchHash(const sql::Table& t) {
   TableHash rebuilt;
-  t->Scan([&](sql::RowId, const sql::Row& row) {
+  t.Scan([&](sql::RowId, const sql::Row& row) {
     rebuilt.AddRow(sql::EncodeRow(row));
     return true;
   });
-  EXPECT_EQ(incremental, rebuilt.value());
+  return rebuilt.value();
+}
+
+/// Every table of a hashing database keeps a digest equal to a
+/// from-scratch rebuild over its live rows.
+void ExpectDigestsExact(sql::Database& db) {
+  ASSERT_TRUE(db.table_hashing());
+  for (const auto& name : db.TableNames()) {
+    const sql::Table* t = db.FindTable(name);
+    ASSERT_NE(t->table_hash(), nullptr) << name;
+    EXPECT_EQ(t->table_hash()->value(), FromScratchHash(*t)) << name;
+  }
+}
+
+void CreateTables(sql::Database* db, RandomDml* dml,
+                  const std::vector<std::string>& names) {
+  for (const auto& name : names) {
+    ASSERT_TRUE(db->ExecuteSql("CREATE TABLE " + name +
+                                   " (id INT PRIMARY KEY, v INT)",
+                               dml->commit++)
+                    .ok());
+  }
+}
+
+TEST(TableHashPropertyTest, IncrementalEqualsRebuiltAfterRandomDml) {
+  sql::Database db;
+  db.SetTableHashing(true);
+  RandomDml dml(99);
+  CreateTables(&db, &dml, {"t"});
+  dml.Run(&db, "t", 300);
+  ExpectDigestsExact(db);
+}
+
+TEST(TableHashPropertyTest, SwitchedOnMidHistoryThenMoreDml) {
+  sql::Database db;
+  RandomDml dml(7);
+  CreateTables(&db, &dml, {"a", "b"});
+  dml.Run(&db, "a", 150);
+  dml.Run(&db, "b", 50);
+  EXPECT_EQ(db.FindTable("a")->table_hash(), nullptr)
+      << "a database without hashing keeps no digest";
+  db.SetTableHashing(true);
+  ExpectDigestsExact(db);
+  dml.Run(&db, "a", 150);
+  CreateTables(&db, &dml, {"c"});
+  dml.Run(&db, "c", 40);
+  ExpectDigestsExact(db);
+  db.SetTableHashing(false);
+  EXPECT_EQ(db.FindTable("c")->table_hash(), nullptr);
+}
+
+TEST(TableHashPropertyTest, ExactAfterMaskedAndPointInTimeRollback) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    sql::Database db;
+    db.SetTableHashing(true);
+    RandomDml dml(seed);
+    CreateTables(&db, &dml, {"t"});
+    dml.Run(&db, "t", 200);
+    // Masked (column-selective) undo of a random subset of commits.
+    std::set<uint64_t> undo;
+    for (int i = 0; i < 40; ++i) {
+      undo.insert(uint64_t(dml.rng.UniformInt(2, int(dml.commit) - 1)));
+    }
+    db.RollbackCommitsInTables(undo, {"t"});
+    ExpectDigestsExact(db);
+    dml.Run(&db, "t", 50);
+    ExpectDigestsExact(db);
+    db.RollbackToIndex(uint64_t(dml.rng.UniformInt(2, int(dml.commit) - 1)));
+    ExpectDigestsExact(db);
+  }
+}
+
+TEST(TableHashPropertyTest, ExactAcrossCloneCloneTablesAndAdoption) {
+  sql::Database live;
+  live.SetTableHashing(true);
+  RandomDml dml(31);
+  CreateTables(&live, &dml, {"a", "b"});
+  dml.Run(&live, "a", 120);
+  dml.Run(&live, "b", 120);
+
+  std::unique_ptr<sql::Database> clone = live.Clone();
+  ExpectDigestsExact(*clone);
+  dml.Run(clone.get(), "a", 60);
+  ExpectDigestsExact(*clone);
+  ExpectDigestsExact(live);  // CoW: the clone's writes stay its own
+
+  std::unique_ptr<sql::Database> staged = live.CloneTables({"a"});
+  staged->SetReadFallback(&live, nullptr);
+  dml.Run(staged.get(), "a", 60);
+  dml.Run(staged.get(), "b", 30);  // faults b in from the base
+  ExpectDigestsExact(*staged);
+
+  // Adoption from a hashing clone, then from an unhashed database rebuilt
+  // from scratch (the rebuild-from-log staging path without Hash-jumper).
+  ASSERT_TRUE(live.AdoptTables(*staged, {"a", "b"}).ok());
+  ExpectDigestsExact(live);
+  sql::Database rebuilt;
+  RandomDml other(32);
+  CreateTables(&rebuilt, &other, {"a", "b"});
+  other.Run(&rebuilt, "a", 100);
+  other.Run(&rebuilt, "b", 100);
+  ASSERT_EQ(rebuilt.FindTable("a")->table_hash(), nullptr);
+  ASSERT_TRUE(live.AdoptTables(rebuilt, {"a", "b"}).ok());
+  ExpectDigestsExact(live);
+  dml.Run(&live, "a", 40);
+  ExpectDigestsExact(live);
+
+  // The reverse direction: an unhashed database adopts without digests.
+  ASSERT_TRUE(rebuilt.AdoptTables(live, {"a"}).ok());
+  EXPECT_EQ(rebuilt.FindTable("a")->table_hash(), nullptr);
 }
 
 class MahifAgreementTest : public ::testing::TestWithParam<uint64_t> {};
