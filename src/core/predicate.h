@@ -96,18 +96,19 @@ struct ValueRegion {
 };
 
 /// Hook resolving an expression to its candidate constant values: the
-/// dynamic analyzer plugs MultiEval (literal folds + procedure variable
-/// bindings + captured parameter values), the static analyzer its
-/// literal-only ConstEval. nullopt = unresolvable (widen to ⊤). Whenever
-/// the static hook resolves, the dynamic hook resolves the same single
-/// value — the fold semantics are shared — which makes the extracted
-/// dynamic region a subset of the static one at every AST node.
+/// R/W walker plugs its MultiEval — literal folds, plus procedure variable
+/// bindings and captured parameter values in the concrete (dynamic)
+/// domain; literal folds only in the abstract (static) domain. nullopt =
+/// unresolvable (widen to ⊤). Whenever the static hook resolves, the
+/// dynamic hook resolves the same single value — it is the same fold code
+/// — which makes the extracted dynamic region a subset of the static one
+/// at every AST node.
 using PredicateEvalFn =
     std::function<std::optional<std::vector<sql::Value>>(const sql::Expr&)>;
 
 /// Hook translating one alias-RI column value to the set of RI-key
-/// encodings it denotes. nullopt = unknown (widen to ⊤). The static
-/// analyzer always returns nullopt (it has no learned alias maps).
+/// encodings it denotes. nullopt = unknown (widen to ⊤). The abstract
+/// (static) domain always returns nullopt (it has no learned alias maps).
 using PredicateAliasFn = std::function<std::optional<std::set<std::string>>(
     const std::string& alias_column, const sql::Value& value)>;
 

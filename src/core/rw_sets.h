@@ -185,6 +185,13 @@ class AnalysisObserver {
 /// the asynchronous background "query analyzer" of Figure 2: it replays
 /// DDL into its SchemaRegistry, learns alias-RI mappings and merged RI
 /// values, and emits a QueryRW per log entry.
+///
+/// There is one statement walker (rw_sets.cc). QueryAnalyzer runs it in
+/// the concrete domain, which reads the runtime facts of each entry:
+/// variable values, the NondetRecord's auto-increment ids, captured
+/// SELECT ... INTO values, the learned alias→RI map and the RI-merge
+/// union-find. AnalyzeAbstract below runs the same walker without any of
+/// them, for the static analysis in src/analysis (DESIGN.md §10).
 class QueryAnalyzer {
  public:
   QueryAnalyzer() = default;
@@ -199,7 +206,7 @@ class QueryAnalyzer {
   const SchemaRegistry* registry() const { return &registry_; }
 
   /// RI configuration overrides installed via ConfigureRi, exposed so the
-  /// static analyzer can mirror them when it replays intra-statement DDL
+  /// static analyzer can apply them when it walks intra-statement DDL
   /// against its own scratch registry.
   const std::map<std::string, RiConfig>& ri_configs() const {
     return ri_overrides_;
@@ -245,7 +252,7 @@ class QueryAnalyzer {
   uint64_t merge_generation() const { return merge_generation_; }
 
  private:
-  friend class AnalyzerImpl;
+  friend class RwWalker;
   SchemaRegistry registry_;
   AnalysisObserver* observer_ = nullptr;
   std::map<std::string, RiConfig> ri_overrides_;
@@ -257,8 +264,42 @@ class QueryAnalyzer {
 
   std::string Find(const std::string& key);
   void Union(const std::string& a, const std::string& b);
-  void ReapplyRiConfig(const std::string& table);
 };
+
+/// Facts only the abstract domain records; src/analysis's StaticSummary
+/// carries them for the lint pass.
+struct LintFacts {
+  /// True when the statement contains DDL anywhere, including nested in a
+  /// procedure body reached through CALL — a Hash-jumper hazard the lint
+  /// pass reports (dynamic is_ddl only marks top-level DDL).
+  bool has_ddl = false;
+
+  /// Nondeterministic SQL builtins referenced anywhere in the statement
+  /// (upper-cased names from util/nondet_builtins.h).
+  std::set<std::string> nondet_builtins;
+
+  /// "Table.column" writes naming columns absent from the table's current
+  /// schema — dead branches writing dropped columns, or typos.
+  std::vector<std::string> dead_column_writes;
+};
+
+/// Runs the statement walker in the abstract domain: no runtime facts, so
+/// variables carry no values, folding is literal-only, alias-RI lookups
+/// and auto-increment ids widen to wildcards and no RI merge is learned.
+/// Nested DDL also marks `rw->is_ddl` / `overwrites`. `registry` evolves
+/// through the statement's DDL, with `ri_configs` applied to every table
+/// the statement (re)creates. `lint` must not be null.
+Status AnalyzeAbstract(
+    const sql::Statement& stmt, SchemaRegistry* registry,
+    const std::map<std::string, QueryAnalyzer::RiConfig>& ri_configs,
+    QueryRW* rw, LintFacts* lint);
+
+/// AnalyzeAbstract over a stored procedure's body, with its parameters
+/// bound as value-less variables.
+Status AnalyzeAbstractBody(
+    const sql::CreateProcedureStatement& proc, SchemaRegistry* registry,
+    const std::map<std::string, QueryAnalyzer::RiConfig>& ri_configs,
+    QueryRW* rw, LintFacts* lint);
 
 }  // namespace ultraverse::core
 
