@@ -1,5 +1,6 @@
 #include "oracle/concurrent.h"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <random>
@@ -108,34 +109,32 @@ void AnalystLoop(RaceState* st, const ConcurrentFuzzOptions& opts, int aid) {
       std::lock_guard<std::mutex> g(st->mu);
       st->epochs_pinned.insert(snap->epoch);
     }
-    // Target only the seeded DML prefix (entries 3..seeded_len): always
-    // present in every snapshot, never a CREATE TABLE.
+    // Target only the seeded DML prefix (entries 3..seeded_len), never a
+    // CREATE TABLE. Published removes shrink the log, so a snapshot may
+    // hold fewer entries than were seeded: stay below its horizon.
+    uint64_t last = std::min(st->seeded_len, snap->horizon);
+    if (last < 3) continue;
     RetroOp op;
     op.kind = RetroOp::Kind::kRemove;
-    op.index = 3 + rng() % (st->seeded_len - 2);
+    op.index = 3 + rng() % (last - 2);
 
     auto sel = st->uv.WhatIfAnalyzeAt(*snap, op, SystemMode::kTD, false);
     auto ref = st->uv.WhatIfAnalyzeAt(*snap, op, SystemMode::kT, true);
-    if (!sel.ok() || !ref.ok()) {
-      st->Fail("analyze failed: sel=" + sel.status().ToString() +
-               " ref=" + ref.status().ToString());
+    // The fence can move while we analyze; re-check before judging.
+    std::string verdict = JudgeAnalysisPair(
+        sel, ref, snap->epoch < st->publish_fence.load());
+    if (!verdict.empty()) {
+      std::ostringstream os;
+      os << "divergence at epoch " << snap->epoch << " horizon "
+         << snap->horizon << " op remove " << op.index << ": " << verdict;
+      st->Fail(os.str());
       return;
     }
     {
       std::lock_guard<std::mutex> g(st->mu);
       ++st->report.analyses;
     }
-    // The fence can move while we analyze; re-check before judging.
-    if (snap->epoch < st->publish_fence.load() &&
-        sel->fingerprint != ref->fingerprint) {
-      std::ostringstream os;
-      os << "divergence at epoch " << snap->epoch << " horizon "
-         << snap->horizon << " op remove " << op.index
-         << ": selective " << sel->fingerprint << " != full-naive "
-         << ref->fingerprint;
-      st->Fail(os.str());
-      return;
-    }
+    if (!sel.ok()) continue;  // both rejected the op alike
 
     // Memoized path: same op twice in a row — the second answer must come
     // from the result cache unless a commit advanced the epoch in between.
@@ -186,6 +185,25 @@ void AnalystLoop(RaceState* st, const ConcurrentFuzzOptions& opts, int aid) {
 }
 
 }  // namespace
+
+std::string JudgeAnalysisPair(const Result<WhatIfAnalysis>& selective,
+                              const Result<WhatIfAnalysis>& full_naive,
+                              bool compare_fingerprints) {
+  if (!selective.ok() || !full_naive.ok()) {
+    if (!selective.ok() && !full_naive.ok() &&
+        selective.status().ToString() == full_naive.status().ToString()) {
+      return "";
+    }
+    return "analyze failed: sel=" + selective.status().ToString() +
+           " ref=" + full_naive.status().ToString();
+  }
+  if (compare_fingerprints &&
+      selective->fingerprint != full_naive->fingerprint) {
+    return "selective " + selective->fingerprint + " != full-naive " +
+           full_naive->fingerprint;
+  }
+  return "";
+}
 
 ConcurrentFuzzReport ConcurrentFuzz(const ConcurrentFuzzOptions& options) {
   Ultraverse::Options uv_opts;

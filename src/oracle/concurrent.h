@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "core/ultraverse.h"
+#include "util/status.h"
+
 namespace ultraverse::oracle {
 
 /// Concurrent MVCC fuzzing (DESIGN.md §14): writer threads commit random
@@ -45,6 +48,16 @@ struct ConcurrentFuzzReport {
   size_t divergences = 0;        // fingerprint mismatches (failures)
   std::vector<std::string> failures;  // one description per failure
 };
+
+/// Judges one analyst round: the selective analysis and the full-naive
+/// reference of one op at one pinned snapshot. Returns "" when they agree
+/// — the same rejection on both sides (say, a target the snapshot lacks)
+/// counts as agreement, as in CheckCase — otherwise what diverged.
+/// Fingerprints are compared only when `compare_fingerprints` (no publish
+/// may have landed at or below the snapshot's epoch).
+std::string JudgeAnalysisPair(const Result<core::WhatIfAnalysis>& selective,
+                              const Result<core::WhatIfAnalysis>& full_naive,
+                              bool compare_fingerprints);
 
 /// Runs the concurrent oracle with a fixed seed. Thread interleaving is
 /// nondeterministic by design; the checked invariant is not. Returns the

@@ -528,5 +528,43 @@ TEST(MvccConcurrentTest, AnalysesMatchOracleUnderCommitTraffic) {
       << "analysts should observe the history advancing";
 }
 
+// A remove target past the snapshot's horizon (published removes shrank
+// the log) is rejected alike by both sides: the judge counts that as
+// agreement, while a one-sided failure or differing rejections diverge.
+TEST(MvccConcurrentTest, SameRejectionPastHorizonIsAgreement) {
+  Ultraverse uv;
+  for (const char* sql : {"CREATE TABLE a (id INT PRIMARY KEY, v INT)",
+                          "INSERT INTO a (id, v) VALUES (1, 10)",
+                          "INSERT INTO a (id, v) VALUES (2, 20)",
+                          "UPDATE a SET v = 11 WHERE id = 1"}) {
+    ASSERT_TRUE(uv.ExecuteSql(sql).ok()) << sql;
+  }
+  auto snap = uv.SnapshotHistory();
+  ASSERT_TRUE(snap.ok());
+  RetroOp past;
+  past.kind = RetroOp::Kind::kRemove;
+  past.index = (*snap)->horizon + 3;
+  auto sel = uv.WhatIfAnalyzeAt(**snap, past, SystemMode::kTD, false);
+  auto ref = uv.WhatIfAnalyzeAt(**snap, past, SystemMode::kT, true);
+  ASSERT_FALSE(sel.ok());
+  ASSERT_FALSE(ref.ok());
+  EXPECT_EQ(oracle::JudgeAnalysisPair(sel, ref, true), "");
+
+  RetroOp inside = past;
+  inside.index = 2;
+  auto good = uv.WhatIfAnalyzeAt(**snap, inside, SystemMode::kTD, false);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(oracle::JudgeAnalysisPair(good, good, true), "");
+  EXPECT_NE(oracle::JudgeAnalysisPair(good, ref, true), "");
+  EXPECT_NE(oracle::JudgeAnalysisPair(sel, good, false), "");
+  Result<WhatIfAnalysis> other = Status::Internal("another failure");
+  EXPECT_NE(oracle::JudgeAnalysisPair(sel, other, true), "");
+
+  WhatIfAnalysis changed = *good;
+  changed.fingerprint += "x";
+  EXPECT_NE(oracle::JudgeAnalysisPair(good, changed, true), "");
+  EXPECT_EQ(oracle::JudgeAnalysisPair(good, changed, false), "");
+}
+
 }  // namespace
 }  // namespace ultraverse::core
