@@ -26,7 +26,10 @@
 #    server process over the framed TCP protocol with a mid-run SIGTERM
 #    drain and WAL-recovery fingerprint check, and a ~30-second wire
 #    crash sweep (fuzz_whatif --server-crash) arming failpoints on every
-#    wire-path edge (DESIGN.md §16).
+#    wire-path edge (DESIGN.md §16), and the what-if benchmark's
+#    exact-repeat counts check (whatifbench/test_counts_repeat.py), which
+#    also proves whatifbench/whatif_bench.cc still compiles against the
+#    engine.
 # 2. asan  — AddressSanitizer build running the observability + oracle +
 #    fault + vm + explain + mvcc + server labels (the suites that exercise
 #    replay/staging over shared CoW snapshots, WAL recovery,
@@ -67,6 +70,8 @@ run_plain() {
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"
   run_metrics_lint
+  echo "== plain: what-if benchmark builds, counts repeat exactly =="
+  python3 whatifbench/test_counts_repeat.py
   echo "== plain: crash-point sweep smoke (~30s) =="
   SWEEP_DIR="$(mktemp -d)"
   build/tools/fuzz_whatif --crash-points --seed 1 --histories 0 \
