@@ -1,6 +1,7 @@
 #include "core/dep_graph.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -85,7 +86,9 @@ std::set<uint64_t> ClosureOneGranularity(
     const std::vector<TableFootprint>* static_footprints,
     bool predicate_filter = false, const std::set<uint64_t>* forced = nullptr,
     std::vector<Cause>* causes = nullptr,
-    std::vector<std::string>* details = nullptr) {
+    std::vector<std::string>* details = nullptr,
+    const std::function<bool(size_t, size_t)>* checkpoint = nullptr,
+    bool* abandoned = nullptr) {
   auto acc_w = sets.Writes(target_rw);  // by value: accumulators
   auto acc_r = sets.Reads(target_rw);
   // Accumulated *dynamic* table footprint of target + joined members. A
@@ -111,7 +114,18 @@ std::set<uint64_t> ClosureOneGranularity(
   auto record = [&](uint64_t idx, Cause c) {
     if (causes) (*causes)[idx - target_index] = c;
   };
+  size_t next_checkpoint = kFirstStrategyCheckpoint;
   for (uint64_t idx = target_index; idx <= analysis.size(); ++idx) {
+    // Strategy checkpoints (DependencyOptions::checkpoint): the pass is a
+    // forward scan, so members / scanned is known exactly here.
+    const size_t scanned = size_t(idx - target_index);
+    if (checkpoint && scanned == next_checkpoint) {
+      next_checkpoint *= 2;
+      if ((*checkpoint)(scanned, members.size())) {
+        *abandoned = true;
+        return members;
+      }
+    }
     // For remove/change the target *is* log[target_index]; it is seeded
     // into the accumulators above and must not re-join as a member. For
     // add, the new query slots in *before* log[target_index]: that commit
@@ -239,12 +253,16 @@ ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
       options.record_exclusions ? &col_details : nullptr;
   std::vector<std::string>* row_det =
       options.record_exclusions ? &row_details : nullptr;
+  const std::function<bool(size_t, size_t)>* checkpoint =
+      options.checkpoint ? &options.checkpoint : nullptr;
   if (options.column_wise && options.row_wise) {
     // Theorem 20: 𝕀 = 𝕀_c ∩ 𝕀_r.
     std::set<uint64_t> col = ClosureOneGranularity(
         analysis, target_index, target_rw, target_occupies_slot,
         ColumnGranularity{}, options.static_footprints,
-        options.predicate_filter, options.forced_members, col_rec, col_det);
+        options.predicate_filter, options.forced_members, col_rec, col_det,
+        checkpoint, &plan.abandoned);
+    if (plan.abandoned) return plan;  // nothing else is filled yet
     std::set<uint64_t> row = ClosureOneGranularity(
         analysis, target_index, target_rw, target_occupies_slot,
         RowGranularity{}, options.static_footprints, options.predicate_filter,
@@ -256,7 +274,9 @@ ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
     members = ClosureOneGranularity(
         analysis, target_index, target_rw, target_occupies_slot,
         ColumnGranularity{}, options.static_footprints,
-        options.predicate_filter, options.forced_members, col_rec, col_det);
+        options.predicate_filter, options.forced_members, col_rec, col_det,
+        checkpoint, &plan.abandoned);
+    if (plan.abandoned) return plan;  // nothing else is filled yet
   } else {
     // No dependency analysis: replay the whole suffix (baseline behaviour).
     // Same slot-occupancy rule as above: for add, log[target_index] is part

@@ -2,6 +2,7 @@
 #define ULTRAVERSE_CORE_DEP_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -48,7 +49,20 @@ struct DependencyOptions {
   /// later writers of a forced member's cells join through the ordinary
   /// rules, so the query-selective rollback stays sound. nullptr = none.
   const std::set<uint64_t>* forced_members = nullptr;
+
+  /// Strategy checkpoint hook (DESIGN.md §7.1): when set, the
+  /// column-granularity closure calls it after kFirstStrategyCheckpoint
+  /// scanned suffix positions and again at every doubling (512, 1024, …),
+  /// with the positions scanned so far and the members joined among them.
+  /// Returning true abandons the plan (ReplayPlan::abandoned): the caller
+  /// rebuilds the universe by full re-execution instead. Only the replay
+  /// engine sets it (ReplayMode::kAuto); null plans to completion.
+  std::function<bool(size_t scanned, size_t members)> checkpoint;
 };
+
+/// First scanned-position count at which DependencyOptions::checkpoint
+/// runs; a suffix no longer than this is always planned to completion.
+inline constexpr size_t kFirstStrategyCheckpoint = 256;
 
 /// Why a suffix position did or did not join the replay plan. Sound by
 /// construction: causes are recorded at the exact skip/join sites of the
@@ -96,6 +110,10 @@ struct ReplayPlan {
   /// kPredicateDisjoint positions (the disjoint region pair that refuted
   /// the dependency), empty string elsewhere.
   std::vector<std::string> exclusion_detail;
+
+  /// DependencyOptions::checkpoint stopped the column closure early: every
+  /// other field is empty, and the plan must not be executed.
+  bool abandoned = false;
 };
 
 /// Computes the replay set 𝕀 of Appendix E: the closure of queries

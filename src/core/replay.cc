@@ -334,13 +334,117 @@ const char* RetroOpName(RetroOp::Kind kind) {
   return "?";
 }
 
+/// Cost model of the kAuto strategy rule (DESIGN.md §7.1), in µs per
+/// entry. Measured on tpcc-chain with whatif_bench (seed 7, Release build,
+/// 4 vCPUs, zero RTT): one suffix entry of full re-execution, one suffix
+/// position of planning over both closure passes, and one replayed plan
+/// member including its share of staging. Prefix entries are bulk
+/// population statements whose cost varies with the data set; they are
+/// charged at an upper bound of the five bundled workloads' measured
+/// per-entry prefix cost (≤ 71 µs), so the prefix term errs toward
+/// selective.
+constexpr uint64_t kNaiveEntryUs = 48;
+constexpr uint64_t kNaivePrefixEntryUs = 100;
+constexpr uint64_t kPlanPositionUs = 20;
+constexpr uint64_t kMemberUs = 65;
+
+/// The kAuto decision at one closure checkpoint: `members` of the first
+/// `scanned` suffix positions joined the column closure, so the plan is
+/// projected to hold members/scanned of the suffix. Naive wins when
+///   members/scanned > θ = (naive_est/suffix - kPlanPositionUs) / kMemberUs.
+obs::StrategyChoice EstimateStrategy(uint64_t prefix, uint64_t suffix,
+                                     uint64_t scanned, uint64_t members) {
+  obs::StrategyChoice c;
+  c.automatic = true;
+  c.scanned = scanned;
+  c.members = members;
+  c.naive_est_us = kNaiveEntryUs * suffix + kNaivePrefixEntryUs * prefix;
+  c.selective_est_us =
+      kPlanPositionUs * suffix + kMemberUs * members * suffix / scanned;
+  c.theta = (double(c.naive_est_us) / double(suffix) -
+             double(kPlanPositionUs)) /
+            double(kMemberUs);
+  // The comparison itself in exact integers (both sides times `scanned`).
+  const bool naive = kPlanPositionUs * suffix * scanned +
+                         kMemberUs * members * suffix >
+                     c.naive_est_us * scanned;
+  c.kind = naive ? "naive" : "selective";
+  return c;
+}
+
+void CountStrategy(const obs::StrategyChoice& choice) {
+  static obs::Counter* const selective = obs::Registry::Global().counter(
+      "uv.whatif.strategy{kind=\"selective\"}");
+  static obs::Counter* const naive =
+      obs::Registry::Global().counter("uv.whatif.strategy{kind=\"naive\"}");
+  (choice.kind == "naive" ? naive : selective)->Inc();
+}
+
 }  // namespace
 
-Result<ReplayStats> RetroactiveEngine::ExecuteFullNaive(const RetroOp& op,
-                                                        uint64_t horizon) {
-  ReplayStats stats;
-  stats.history_size = horizon;
-  stats.suffix_size = horizon >= op.index ? horizon - op.index + 1 : 0;
+/// Decision-provenance bookkeeping (DESIGN.md §13) shared by both
+/// strategies, so a what-if that abandons its plan for full re-execution
+/// keeps one report: the partial plan phase, then the naive phases. Off
+/// (Options::explain == kOff) it records nothing.
+class RetroactiveEngine::ReportRecorder {
+ public:
+  ReportRecorder(obs::ExplainLevel level, const RetroOp& op,
+                 uint64_t suffix_size, obs::WhatIfReport* report)
+      : level_(level), report_(report) {
+    if (!on()) return;
+    report->op = RetroOpName(op.kind);
+    report->target_index = op.index;
+    report->level = level;
+    report->suffix_size = suffix_size;
+    layer_base_ = LayerCounters::Get().Sample();
+    phase_cpu_ = obs::NowCpuMicros();
+    flight_token_ = obs::FlightRecorder::Global().Begin(*report);
+  }
+
+  bool on() const { return level_ != obs::ExplainLevel::kOff; }
+  bool full() const { return level_ == obs::ExplainLevel::kFull; }
+
+  void EndPhase(const char* name, uint64_t wall_us) {
+    if (!on()) return;
+    uint64_t cpu = obs::NowCpuMicros();
+    report_->phases.push_back(obs::PhaseBreakdown{name, wall_us,
+                                                  cpu - phase_cpu_});
+    phase_cpu_ = cpu;
+    obs::FlightRecorder::Global().Update(flight_token_, *report_,
+                                         /*completed=*/false);
+  }
+
+  /// Fatal replay error: leave a post-mortem artifact before unwinding.
+  void NoteFatal(const Status& st) {
+    if (!on()) return;
+    ApplyLayerDeltas(layer_base_, report_);
+    obs::FlightRecorder::Global().Update(flight_token_, *report_,
+                                         /*completed=*/false);
+    obs::FlightRecorder::Global().NoteCrash("fatal replay error: " +
+                                            st.ToString());
+  }
+
+  void Complete(uint64_t staged_bytes) {
+    if (!on()) return;
+    report_->staged_bytes = staged_bytes;
+    ApplyLayerDeltas(layer_base_, report_);
+    TallyVerdictMetrics(*report_);
+    obs::FlightRecorder::Global().Update(flight_token_, *report_,
+                                         /*completed=*/true);
+  }
+
+ private:
+  obs::ExplainLevel level_;
+  obs::WhatIfReport* report_;
+  uint64_t flight_token_ = 0;
+  std::array<uint64_t, LayerCounters::kN> layer_base_{};
+  uint64_t phase_cpu_ = 0;
+};
+
+Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
+                                           ReportRecorder* rec,
+                                           ReplayStats* out) {
+  ReplayStats& stats = *out;
   stats.schema_rebuild = true;  // the whole universe is rebuilt from the log
   Stopwatch total_watch;
   obs::TraceSpan op_span("replay.full_naive",
@@ -354,31 +458,11 @@ Result<ReplayStats> RetroactiveEngine::ExecuteFullNaive(const RetroOp& op,
   static obs::Histogram* const naive_total_us =
       obs::Registry::Global().histogram("uv.oracle.naive.total_us");
   naive_runs->Inc();
-
-  const bool explain_on = options_.explain != obs::ExplainLevel::kOff;
   obs::WhatIfReport& report = stats.report;
-  uint64_t flight_token = 0;
-  std::array<uint64_t, LayerCounters::kN> layer_base{};
-  uint64_t phase_cpu = 0;
-  if (explain_on) {
-    report.op = RetroOpName(op.kind);
-    report.target_index = op.index;
+  report.strategy.kind = "naive";
+  if (rec->on() && options_.mode == ReplayMode::kFullNaive) {
     report.mode = "full-naive";
-    report.level = obs::ExplainLevel::kSummary;  // no per-txn vector here
-    report.suffix_size = stats.suffix_size;
-    layer_base = LayerCounters::Get().Sample();
-    phase_cpu = obs::NowCpuMicros();
-    flight_token = obs::FlightRecorder::Global().Begin(report);
   }
-  auto end_phase = [&](const char* name, uint64_t wall_us) {
-    if (!explain_on) return;
-    uint64_t cpu = obs::NowCpuMicros();
-    report.phases.push_back(obs::PhaseBreakdown{name, wall_us,
-                                                cpu - phase_cpu});
-    phase_cpu = cpu;
-    obs::FlightRecorder::Global().Update(flight_token, report,
-                                         /*completed=*/false);
-  };
 
   temp_db_ = std::make_unique<sql::Database>();
   temp_db_->set_exec_engine(db_->exec_engine());
@@ -395,7 +479,7 @@ Result<ReplayStats> RetroactiveEngine::ExecuteFullNaive(const RetroOp& op,
   }
   naive_prefix_entries->Add(op.index - 1);
   stats.rollback_seconds = rollback_watch.ElapsedSeconds();
-  end_phase("stage", rollback_watch.ElapsedMicros());
+  rec->EndPhase("stage", rollback_watch.ElapsedMicros());
 
   // High-watermark AUTO_INCREMENT policy + logical-clock alignment: the
   // selective path stages a CoW clone of the *live* database, so its
@@ -434,9 +518,10 @@ Result<ReplayStats> RetroactiveEngine::ExecuteFullNaive(const RetroOp& op,
   }
   naive_suffix_entries->Add(executed);
   stats.replay_seconds = replay_watch.ElapsedSeconds();
-  end_phase("replay", replay_watch.ElapsedMicros());
+  rec->EndPhase("replay", replay_watch.ElapsedMicros());
   stats.replayed = executed;
   stats.planned_replay = executed;
+  stats.critical_path = executed;  // serial: no overlap to model
   stats.suppressed = suppressed_;
   stats.virtual_rtt_micros = options_.rtt_micros_per_query * executed;
   stats.temp_db_bytes = temp_db_->ApproxOwnedBytes();
@@ -483,29 +568,39 @@ Result<ReplayStats> RetroactiveEngine::ExecuteFullNaive(const RetroOp& op,
   } else {
     stats.mutated_tables = temp_db_->TableNames().size();
   }
-  stats.total_seconds = total_watch.ElapsedSeconds();
+  // A plan abandoned under kAuto already spent its analysis time.
+  stats.total_seconds = stats.analysis_seconds + total_watch.ElapsedSeconds();
   naive_total_us->Record(total_watch.ElapsedMicros());
   stats.obs = obs::Registry::Global().Collect();
-  if (explain_on) {
+  if (rec->on()) {
     report.replayed = stats.replayed;
     report.skipped = 0;
     // Full-naive replays everything: every suffix slot is a kReplayed
     // verdict except the vacated target slot of a remove/change.
-    report.verdict_counts[size_t(obs::TxnVerdict::kReplayed)] =
-        executed > (replay_target ? 1u : 0u)
-            ? executed - (replay_target ? 1u : 0u)
-            : 0;
-    if (op.kind != RetroOp::Kind::kAdd && stats.suffix_size > 0) {
-      report.Tally(obs::TxnVerdict::kRetroTarget);
+    const uint64_t vacated = op.kind != RetroOp::Kind::kAdd ? op.index : 0;
+    for (uint64_t idx = op.index; idx <= horizon; ++idx) {
+      const obs::TxnVerdict v = idx == vacated ? obs::TxnVerdict::kRetroTarget
+                                               : obs::TxnVerdict::kReplayed;
+      report.Tally(v);
+      if (!rec->full()) continue;
+      obs::TxnExplain te;
+      te.index = idx;
+      te.verdict = v;
+      te.evidence = idx == vacated ? "retroactive target slot"
+                                   : "full re-execution (naive strategy)";
+      report.txns.push_back(std::move(te));
     }
-    end_phase("publish", publish_watch.ElapsedMicros());
-    report.staged_bytes = stats.temp_db_bytes;
-    ApplyLayerDeltas(layer_base, &report);
-    TallyVerdictMetrics(report);
-    obs::FlightRecorder::Global().Update(flight_token, report,
-                                         /*completed=*/true);
+    if (replay_target && rec->full()) {
+      obs::TxnExplain te;
+      te.index = op.index;
+      te.is_new = true;
+      te.evidence = "retroactive statement executes at its insertion slot";
+      report.txns.insert(report.txns.begin(), std::move(te));
+    }
+    rec->EndPhase("publish", publish_watch.ElapsedMicros());
+    rec->Complete(stats.temp_db_bytes);
   }
-  return stats;
+  return Status::OK();
 }
 
 Result<ReplayStats> RetroactiveEngine::Execute(
@@ -539,45 +634,26 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     parsed_rules_.emplace_back(rule.function, std::move(cond));
   }
 
-  if (options_.mode == ReplayMode::kFullNaive) {
-    // Ground-truth reference path: no dependency analysis, no staging
-    // tricks, no Hash-jumper — just the rewritten history, start to end.
-    return ExecuteFullNaive(op, horizon);
-  }
-
   ReplayStats stats;
   stats.history_size = horizon;
   stats.suffix_size = horizon >= op.index ? horizon - op.index + 1 : 0;
-  Stopwatch total_watch;
-
+  obs::WhatIfReport& report = stats.report;
   // --- Decision-provenance report (DESIGN.md §13) --------------------------
   // Assembled alongside the analysis; the flight recorder holds an
   // in-flight copy from the first phase on, so a crash anywhere below
   // leaves this very report as the newest ring entry.
-  const bool explain_on = options_.explain != obs::ExplainLevel::kOff;
-  const bool explain_full = options_.explain == obs::ExplainLevel::kFull;
-  obs::WhatIfReport& report = stats.report;
-  uint64_t flight_token = 0;
-  std::array<uint64_t, LayerCounters::kN> layer_base{};
-  uint64_t phase_cpu = 0;
-  if (explain_on) {
-    report.op = RetroOpName(op.kind);
-    report.target_index = op.index;
-    report.level = options_.explain;
-    report.suffix_size = stats.suffix_size;
-    layer_base = LayerCounters::Get().Sample();
-    phase_cpu = obs::NowCpuMicros();
-    flight_token = obs::FlightRecorder::Global().Begin(report);
+  ReportRecorder rec(options_.explain, op, stats.suffix_size, &report);
+  const bool explain_on = rec.on();
+  const bool explain_full = rec.full();
+
+  if (options_.mode == ReplayMode::kFullNaive) {
+    // Ground-truth reference path: no dependency analysis, no staging
+    // tricks, no Hash-jumper — just the rewritten history, start to end.
+    UV_RETURN_NOT_OK(ExecuteFullNaive(op, horizon, &rec, &stats));
+    return stats;
   }
-  auto end_phase = [&](const char* name, uint64_t wall_us) {
-    if (!explain_on) return;
-    uint64_t cpu = obs::NowCpuMicros();
-    report.phases.push_back(obs::PhaseBreakdown{name, wall_us,
-                                                cpu - phase_cpu});
-    phase_cpu = cpu;
-    obs::FlightRecorder::Global().Update(flight_token, report,
-                                         /*completed=*/false);
-  };
+  Stopwatch total_watch;
+
   obs::TraceSpan op_span(
       "replay.execute",
       {{"op", op.kind == RetroOp::Kind::kAdd      ? "add"
@@ -631,9 +707,32 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     forced_members.insert(idx);
   }
   if (!forced_members.empty()) deps.forced_members = &forced_members;
+  // kAuto (DESIGN.md §7.1): at each closure checkpoint, estimate whether
+  // finishing selectively or re-executing everything is cheaper. Forced
+  // members keep the selective path: that gate checks selective verdicts.
+  obs::StrategyChoice& strategy = report.strategy;
+  if (options_.mode == ReplayMode::kAuto && forced_members.empty()) {
+    strategy.automatic = true;
+    deps.checkpoint = [&](size_t scanned, size_t members) {
+      strategy = EstimateStrategy(op.index - 1, stats.suffix_size, scanned,
+                                  members);
+      return strategy.kind == "naive";
+    };
+  }
   ReplayPlan plan = ComputeReplayPlan(
       analysis, op.index, target_rw,
       /*target_occupies_slot=*/op.kind != RetroOp::Kind::kAdd, deps);
+  if (strategy.automatic) CountStrategy(strategy);
+  if (plan.abandoned) {
+    // The closure is projected to cover so much of the suffix that full
+    // re-execution is cheaper: keep the partial scan as the plan phase and
+    // build the universe naively.
+    stats.analysis_seconds = analysis_watch.ElapsedSeconds();
+    rec.EndPhase("plan", analysis_watch.ElapsedMicros());
+    phase_span.reset();
+    UV_RETURN_NOT_OK(ExecuteFullNaive(op, horizon, &rec, &stats));
+    return stats;
+  }
   // kChange replaces the old query: it must not replay verbatim.
   if (op.kind == RetroOp::Kind::kChange || op.kind == RetroOp::Kind::kRemove) {
     plan.replay_indices.erase(std::remove(plan.replay_indices.begin(),
@@ -717,7 +816,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
       }
     }
   }
-  end_phase("plan", analysis_watch.ElapsedMicros());
+  rec.EndPhase("plan", analysis_watch.ElapsedMicros());
 
   // --- 2. Stage the temporary database ------------------------------------
   phase_span.emplace("replay.rollback");
@@ -865,7 +964,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
         obs::Registry::Global().histogram("uv.replay.phase.rollback_us");
     h_rollback->Record(rollback_watch.ElapsedMicros());
   }
-  end_phase("stage", rollback_watch.ElapsedMicros());
+  rec.EndPhase("stage", rollback_watch.ElapsedMicros());
 
   // Hash-jumper timeline: only consulted (and only built) when the
   // Hash-jumper is on; cached across Execute() calls keyed by the history
@@ -1005,15 +1104,10 @@ Result<ReplayStats> RetroactiveEngine::Execute(
         obs::Registry::Global().histogram("uv.replay.phase.replay_us");
     h_replay->Record(replay_watch.ElapsedMicros());
   }
-  end_phase("replay", replay_watch.ElapsedMicros());
-  if (!replay_status.ok() && explain_on &&
+  rec.EndPhase("replay", replay_watch.ElapsedMicros());
+  if (!replay_status.ok() &&
       ClassifyReplayError(replay_status) == ReplayErrorClass::kFatal) {
-    // Fatal replay error: leave a post-mortem artifact before unwinding.
-    ApplyLayerDeltas(layer_base, &report);
-    obs::FlightRecorder::Global().Update(flight_token, report,
-                                         /*completed=*/false);
-    obs::FlightRecorder::Global().NoteCrash("fatal replay error: " +
-                                            replay_status.ToString());
+    rec.NoteFatal(replay_status);
   }
   UV_RETURN_NOT_OK(replay_status);
   // Charge round trips for what actually ran: the Hash-jumper cuts the
@@ -1163,12 +1257,8 @@ Result<ReplayStats> RetroactiveEngine::Execute(
       report.verdict_counts[size_t(obs::TxnVerdict::kHashJumpSkip)] +=
           jump_skipped;
     }
-    end_phase("publish", publish_watch.ElapsedMicros());
-    report.staged_bytes = stats.temp_db_bytes;
-    ApplyLayerDeltas(layer_base, &report);
-    TallyVerdictMetrics(report);
-    obs::FlightRecorder::Global().Update(flight_token, report,
-                                         /*completed=*/true);
+    rec.EndPhase("publish", publish_watch.ElapsedMicros());
+    rec.Complete(stats.temp_db_bytes);
   }
   return stats;
 }

@@ -79,6 +79,14 @@ enum class ReplayMode {
   /// history — no pruning, no Hash-jumper, no CoW staging. Slow but
   /// trivially correct; selective replay must match it bit-for-bit.
   kFullNaive,
+  /// Per-what-if choice between the two (DESIGN.md §7.1): plan selectively,
+  /// but at the column closure's checkpoints (DependencyOptions::checkpoint)
+  /// compare a count-based cost estimate of finishing selectively against
+  /// full re-execution, and switch to kFullNaive when the closure is
+  /// projected to cover so much of the suffix that re-executing everything
+  /// is cheaper. Deterministic: counts and constants only, never timings.
+  /// Forced replay members (Options::forced_replay) pin kSelective.
+  kAuto,
 };
 
 /// A configurable human-decision rule (§6 "Replaying Interactive Human
@@ -115,7 +123,8 @@ struct ReplayStats {
 
   /// Longest chain of conflicting queries in the replay DAG: the number
   /// of round trips a replay overlapping independent chains cannot hide.
-  /// Equals the slot count unless Options::parallel is set.
+  /// Equals the slot count unless Options::parallel is set, and always on
+  /// the naive strategy, which re-executes serially with no overlap.
   size_t critical_path = 0;
 
   double analysis_seconds = 0;   // dependency-plan computation
@@ -299,9 +308,16 @@ class RetroactiveEngine {
   Status ExecuteSlot(sql::Database* db, const Slot& slot, const RetroOp& op,
                      uint64_t commit_index, bool apply_rules = true);
 
-  /// ReplayMode::kFullNaive: re-execute the whole rewritten history on a
-  /// fresh database and adopt everything back.
-  Result<ReplayStats> ExecuteFullNaive(const RetroOp& op, uint64_t horizon);
+  /// Decision-provenance bookkeeping shared by both strategies (replay.cc).
+  class ReportRecorder;
+
+  /// The naive strategy (ReplayMode::kFullNaive, or kAuto after the plan
+  /// was abandoned): re-execute the whole rewritten history on a fresh
+  /// database and adopt everything back. Fills `stats` on top of what the
+  /// caller already recorded there (history/suffix sizes, a partial plan
+  /// phase).
+  Status ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
+                          ReportRecorder* rec, ReplayStats* stats);
 
   /// Hash-jumper timeline over the query log, keyed by the history *epoch*
   /// (an equal-length in-place rewrite must invalidate it); consults and

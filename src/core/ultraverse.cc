@@ -849,8 +849,13 @@ Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
   eopts.deps.column_wise = dep;
   eopts.deps.row_wise = dep;
   eopts.deps.static_footprints = snap.footprints.get();
-  eopts.mode =
-      full_naive ? ReplayMode::kFullNaive : ReplayMode::kSelective;
+  // Without modelled RTT the engine picks the cheaper strategy per what-if
+  // (DESIGN.md §7.1). With RTT the selective replay's overlap along the
+  // conflict DAG's critical path outweighs the engine-time gap, and that
+  // path is unknown until the plan is complete, so it stays selective.
+  eopts.mode = full_naive                ? ReplayMode::kFullNaive
+               : options_.rtt_micros == 0 ? ReplayMode::kAuto
+                                          : ReplayMode::kSelective;
   eopts.parallel = dep;
   // Analyze-only: no publish, no WAL marker, no live-database locks — the
   // snapshot is immutable, so staging and fault-ins run lock-free. The

@@ -246,6 +246,9 @@ class Ultraverse {
   /// database, log and WAL are not touched. Safe to call from many threads
   /// with the same snapshot simultaneously. `full_naive` selects the
   /// ground-truth reference path (differential oracle, DESIGN.md §9).
+  /// Otherwise, with Options::rtt_micros == 0 the engine picks selective
+  /// replay or full re-execution per what-if (ReplayMode::kAuto, DESIGN.md
+  /// §4.4); with modelled RTT it always replays selectively.
   Result<WhatIfAnalysis> WhatIfAnalyzeAt(const HistorySnapshot& snap,
                                          const RetroOp& op, SystemMode mode,
                                          bool full_naive = false);

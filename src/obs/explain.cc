@@ -86,6 +86,10 @@ struct JsonValue {
     const JsonValue* v = Get(key);
     return v && v->kind == kString ? v->str : std::string();
   }
+  double Num(const std::string& key) const {
+    const JsonValue* v = Get(key);
+    return v && v->kind == kNumber ? v->num : 0;
+  }
   bool Bool(const std::string& key) const {
     const JsonValue* v = Get(key);
     return v && v->kind == kBool && v->b;
@@ -295,6 +299,17 @@ std::string WhatIfReport::ToJson() const {
   out << '}';
   out << ",\"hash_jump\":" << (hash_jump ? "true" : "false")
       << ",\"hash_jump_index\":" << hash_jump_index;
+  {
+    char theta[32];
+    std::snprintf(theta, sizeof(theta), "%.4f", strategy.theta);
+    out << ",\"strategy\":{\"kind\":";
+    AppendQuoted(&out, strategy.kind);
+    out << ",\"auto\":" << (strategy.automatic ? "true" : "false")
+        << ",\"scanned\":" << strategy.scanned
+        << ",\"members\":" << strategy.members << ",\"theta\":" << theta
+        << ",\"selective_est_us\":" << strategy.selective_est_us
+        << ",\"naive_est_us\":" << strategy.naive_est_us << '}';
+  }
   out << ",\"phases\":[";
   for (size_t i = 0; i < phases.size(); ++i) {
     if (i) out << ',';
@@ -373,6 +388,15 @@ std::optional<WhatIfReport> WhatIfReport::FromJson(const std::string& json) {
   }
   r.hash_jump = root.Bool("hash_jump");
   r.hash_jump_index = root.U64("hash_jump_index");
+  if (const JsonValue* st = root.Get("strategy")) {
+    r.strategy.kind = st->Str("kind");
+    r.strategy.automatic = st->Bool("auto");
+    r.strategy.scanned = st->U64("scanned");
+    r.strategy.members = st->U64("members");
+    r.strategy.theta = st->Num("theta");
+    r.strategy.selective_est_us = st->U64("selective_est_us");
+    r.strategy.naive_est_us = st->U64("naive_est_us");
+  }
   if (const JsonValue* phases = root.Get("phases")) {
     for (const auto& p : phases->arr) {
       PhaseBreakdown pb;
@@ -440,6 +464,26 @@ std::string WhatIfReport::ToText(std::optional<uint64_t> txn_filter) const {
   for (int i = 0; i < kNumTxnVerdicts; ++i) {
     if (!verdict_counts[size_t(i)]) continue;
     out << ' ' << kVerdictNames[i] << '=' << verdict_counts[size_t(i)];
+  }
+  out << '\n';
+  out << "strategy: " << strategy.kind;
+  if (strategy.automatic) {
+    out << " (auto";
+    if (strategy.scanned > 0) {
+      std::snprintf(buf, sizeof(buf),
+                    ": %llu/%llu column members scanned, density %.3f %s "
+                    "theta %.3f; est. selective %.1f ms, naive %.1f ms",
+                    (unsigned long long)strategy.members,
+                    (unsigned long long)strategy.scanned,
+                    double(strategy.members) / double(strategy.scanned),
+                    strategy.kind == "naive" ? ">" : "<=", strategy.theta,
+                    double(strategy.selective_est_us) / 1e3,
+                    double(strategy.naive_est_us) / 1e3);
+      out << buf;
+    } else {
+      out << ": suffix below the first checkpoint";
+    }
+    out << ')';
   }
   out << '\n';
   if (!phases.empty()) {

@@ -80,6 +80,21 @@ struct PhaseBreakdown {
   uint64_t cpu_us = 0;
 };
 
+/// Which strategy built the alternate universe (DESIGN.md §7.1). Under
+/// ReplayMode::kAuto it also carries the evidence of the cost rule: the
+/// column closure's members / scanned at the last checkpoint evaluated,
+/// the density threshold θ and both cost estimates. A run that never
+/// reached a checkpoint (or did not ask for the rule) reports zeros.
+struct StrategyChoice {
+  std::string kind = "selective";  // selective | naive
+  bool automatic = false;          // chosen by the kAuto cost rule
+  uint64_t scanned = 0;            // suffix positions at the checkpoint
+  uint64_t members = 0;            // column-closure members among them
+  double theta = 0;                // bail out when members/scanned > θ
+  uint64_t selective_est_us = 0;   // plan + projected member replay
+  uint64_t naive_est_us = 0;       // prefix + whole-suffix re-execution
+};
+
 /// Retry / cancel / failpoint / fatal lifecycle events (PR 5 machinery).
 struct LifecycleEvent {
   std::string kind;    // retry | cancel | failpoint | fatal
@@ -102,6 +117,9 @@ struct WhatIfReport {
   std::array<uint64_t, kNumTxnVerdicts> verdict_counts{};
   bool hash_jump = false;        // replay terminated early on a digest match
   uint64_t hash_jump_index = 0;  // log index where digests converged
+
+  // --- strategy ------------------------------------------------------------
+  StrategyChoice strategy;
 
   // --- phase breakdown -----------------------------------------------------
   std::vector<PhaseBreakdown> phases;

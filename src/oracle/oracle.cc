@@ -124,6 +124,10 @@ std::vector<ModeConfig> StandardModeConfigs() {
   c.force_rebuild = false;
   c.engine = sql::ExecEngine::kTree;
   configs.push_back(c);
+  c.name = "auto";
+  c.engine.reset();
+  c.mode = core::ReplayMode::kAuto;
+  configs.push_back(c);
   return configs;
 }
 
@@ -186,7 +190,7 @@ Status Universe::RunSelective(const core::RetroOp& op,
                               core::ReplayStats* stats) {
   UV_ASSIGN_OR_RETURN(const std::vector<core::QueryRW>* analysis, Analysis());
   core::RetroactiveEngine::Options opts;
-  opts.mode = core::ReplayMode::kSelective;
+  opts.mode = config.mode;
   opts.deps.column_wise = config.deps;
   opts.deps.row_wise = config.deps;
   opts.force_rebuild = config.force_rebuild;
@@ -457,11 +461,15 @@ Result<std::vector<std::string>> CheckCaseExplain(const WhatIfCase& c) {
   std::vector<std::string> out;
   UV_ASSIGN_OR_RETURN(core::RetroOp op, MakeOp(c));
 
+  // kAuto: a long history whose closure covers the suffix re-executes in
+  // full, and its report (every suffix transaction replayed) must pass
+  // the same bookkeeping checks. The forced re-runs below pin selective.
   ModeConfig base;
   base.name = "explain";
   base.deps = true;
   base.hash_jumper = false;
   base.explain = obs::ExplainLevel::kFull;
+  base.mode = core::ReplayMode::kAuto;
 
   UV_ASSIGN_OR_RETURN(std::unique_ptr<Universe> sel,
                       Universe::Build(c.history));

@@ -43,6 +43,9 @@ struct ModeConfig {
   bool hash_jumper = false;
   bool verify_hash_hits = false;
   bool force_rebuild = false; // exercise the rebuild-from-log staging path
+  /// Strategy of the checked side: kSelective, or kAuto to let the cost
+  /// rule pick (a long whole-suffix history then re-executes in full).
+  core::ReplayMode mode = core::ReplayMode::kSelective;
   /// Execution engine for the selective side's database (replay clones
   /// inherit it). Unset = whatever the universe was built with.
   std::optional<sql::ExecEngine> engine;
@@ -54,9 +57,9 @@ struct ModeConfig {
 };
 
 /// The standard mode pairs of the oracle smoke suite: selective/full ×
-/// Hash-jumper on/off, a rebuild-path config, and a cross-engine config
+/// Hash-jumper on/off, a rebuild-path config, a cross-engine config
 /// that replays the selective side on the tree walker while the reference
-/// runs the process default.
+/// runs the process default, and the per-what-if strategy choice (kAuto).
 std::vector<ModeConfig> StandardModeConfigs();
 
 /// An executable universe: a fresh in-memory database plus the committed

@@ -220,7 +220,10 @@ Result<WhatIfMarker> DecodeWhatIfMarker(const std::string& payload) {
 // --- Append side ------------------------------------------------------------
 
 Wal::Wal(std::string path, int fd, WalOptions options)
-    : path_(std::move(path)), fd_(fd), options_(options) {}
+    : path_(std::move(path)), fd_(fd), options_(options) {
+  const off_t end = ::lseek(fd_, 0, SEEK_END);
+  file_size_ = end > 0 ? uint64_t(end) : 0;
+}
 
 Wal::~Wal() {
   if (fd_ >= 0) {
@@ -243,6 +246,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
 }
 
 Status Wal::AppendRecordLocked(WalRecordType type, const std::string& payload) {
+  UV_RETURN_NOT_OK(fail_stop_);
   UV_FAILPOINT("wal.append");
   std::string framed;
   framed.reserve(payload.size() + 9);
@@ -318,15 +322,51 @@ Status Wal::WaitDurable(uint64_t seq) {
 Status Wal::AppendWhatIfCommit(const WhatIfMarker& marker) {
   std::string payload = EncodeWhatIfMarker(marker);
   uint64_t seq = 0;
+  uint64_t offset_in_group = 0;  // the buffer is the marker's group
   {
     std::lock_guard<std::mutex> g(mu_);
+    offset_in_group = buffer_.size();
     UV_RETURN_NOT_OK(
         AppendRecordLocked(WalRecordType::kWhatIfCommit, payload));
     seq = appended_seq_;
   }
   // The marker IS the commit point: it must be durable before the live
   // tables swap, whatever the group-commit setting says.
-  return WaitDurable(seq);
+  Status st = WaitDurable(seq);
+  if (st.ok()) return st;
+  return TruncateFailedMarker(seq, offset_in_group, st);
+}
+
+Status Wal::TruncateFailedMarker(uint64_t seq, uint64_t offset_in_group,
+                                 const Status& cause) {
+  // The caller reports this publish as aborted, so the file must not keep
+  // a marker that recovery would apply: the write may well have landed
+  // before the fsync failed.
+  std::unique_lock<std::mutex> lk(mu_);
+  while (sync_in_flight_) cv_.wait(lk);
+  if (!fail_stop_.ok()) return fail_stop_;
+  if (appended_seq_ == seq && fd_ >= 0) {
+    // Nothing follows the marker, so its group is the last non-empty one
+    // written and the marker starts offset_in_group bytes into it.
+    const uint64_t offset = group_start_ + offset_in_group;
+    if (file_size_ <= offset) return cause;  // no marker byte landed
+    Status injected;
+    UV_FAILPOINT_STATUS("wal.marker.truncate", injected);
+    if (injected.ok() && ::ftruncate(fd_, off_t(offset)) == 0 &&
+        (!options_.use_fsync || ::fsync(fd_) == 0)) {
+      file_size_ = offset;
+      static obs::Counter* const truncated =
+          obs::Registry::Global().counter("uv.wal.marker_truncated");
+      truncated->Inc();
+      return cause;
+    }
+  }
+  fail_stop_ = Status::DataLoss(
+      "WAL fail-stopped: a what-if marker failed to sync (" +
+      cause.message() +
+      ") and could not be removed; its outcome is unknown until restart "
+      "recovery");
+  return fail_stop_;
 }
 
 void Wal::Abandon() {
@@ -361,9 +401,12 @@ Status Wal::RunSyncLocked(std::unique_lock<std::mutex>& lk) {
   std::string pending;
   pending.swap(buffer_);
   unsynced_appends_ = 0;
+  if (!pending.empty()) group_start_ = file_size_;
   lk.unlock();
-  Status st = WriteAndFsync(&pending);
+  uint64_t written = 0;
+  Status st = WriteAndFsync(pending, &written);
   lk.lock();
+  file_size_ += written;
   sync_in_flight_ = false;
   if (st.ok()) {
     if (covers > synced_seq_) synced_seq_ = covers;
@@ -378,21 +421,19 @@ Status Wal::RunSyncLocked(std::unique_lock<std::mutex>& lk) {
   return st;
 }
 
-Status Wal::WriteAndFsync(std::string* pending) {
+Status Wal::WriteAndFsync(const std::string& pending, uint64_t* written) {
   // A crash here loses the whole in-memory buffer — the group-commit
   // window — which is exactly what process death before write(2) costs.
   UV_FAILPOINT("wal.sync.pre_write");
-  if (!pending->empty()) {
-    size_t off = 0;
-    while (off < pending->size()) {
-      ssize_t n = ::write(fd_, pending->data() + off, pending->size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::Unavailable("WAL write failed: " +
-                                   std::string(std::strerror(errno)));
-      }
-      off += size_t(n);
+  while (*written < pending.size()) {
+    ssize_t n = ::write(fd_, pending.data() + *written,
+                        pending.size() - *written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unavailable("WAL write failed: " +
+                                 std::string(std::strerror(errno)));
     }
+    *written += uint64_t(n);
   }
   if (options_.use_fsync) {
     // The group's records hit the page cache; the fsync is what makes the

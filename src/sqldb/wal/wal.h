@@ -96,7 +96,14 @@ class Wal {
 
   /// Appends a what-if commit marker and ALWAYS flushes + fsyncs before
   /// returning: the marker's durability is the commit point of the atomic
-  /// what-if publish protocol.
+  /// what-if publish protocol. If the marker's group fails to sync, the
+  /// marker bytes that reached the file are truncated away (and the
+  /// truncation synced) before the error returns, so recovery never
+  /// applies a what-if the caller was told aborted (DESIGN.md §11). When
+  /// that cannot be guaranteed — a record was appended behind the marker,
+  /// or the truncation itself fails — the outcome is unknown: the WAL
+  /// fail-stops (every later append returns kDataLoss) and recovery after
+  /// a restart decides.
   Status AppendWhatIfCommit(const WhatIfMarker& marker);
 
   /// Flushes buffered records to the file and fsyncs (per options).
@@ -120,7 +127,13 @@ class Wal {
   /// `lk` and has set sync_in_flight_; the file IO runs unlocked so
   /// appenders keep filling the next group. Broadcasts the result.
   Status RunSyncLocked(std::unique_lock<std::mutex>& lk);
-  Status WriteAndFsync(std::string* pending);
+  /// Writes `pending` and fsyncs; `*written` is how many bytes reached the
+  /// file, also on failure.
+  Status WriteAndFsync(const std::string& pending, uint64_t* written);
+  /// Removes the failed marker appended as `seq` at file offset `offset`
+  /// (see AppendWhatIfCommit), or fail-stops the WAL.
+  Status TruncateFailedMarker(uint64_t seq, uint64_t offset,
+                              const Status& cause);
 
   std::string path_;
   int fd_ = -1;
@@ -135,6 +148,9 @@ class Wal {
   uint64_t failed_upto_seq_ = 0; // failed group covered (..failed_upto_seq_]
   Status sync_error_;            // the failed group's error (sticky per group)
   bool sync_in_flight_ = false;  // a leader is writing+fsyncing unlocked
+  uint64_t file_size_ = 0;       // bytes in the file (written, maybe unsynced)
+  uint64_t group_start_ = 0;     // file offset of the last non-empty group
+  Status fail_stop_;             // set when a marker's outcome is unknown
 };
 
 /// Result of scanning a WAL file.

@@ -192,6 +192,45 @@ TEST(ExplainReport, JsonRoundTrip) {
   EXPECT_FALSE(WhatIfReport::FromJson("[1,2]").has_value());
 }
 
+TEST(ExplainReport, StrategyEntryRoundTripsRendersAndCounts) {
+  // 300 read-modify-writes of one row: the closure covers the suffix, so
+  // kAuto abandons the plan at the first checkpoint and re-executes.
+  std::vector<std::string> history = {
+      "CREATE TABLE c (id INT PRIMARY KEY, v INT);",
+      "INSERT INTO c VALUES (1, 0);"};
+  for (int i = 0; i < 300; ++i) {
+    history.push_back("UPDATE c SET v = v * 2 + 1 WHERE id = 1;");
+  }
+  auto u = Universe::Build(history);
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  obs::Counter* naive_decisions = obs::Registry::Global().counter(
+      "uv.whatif.strategy{kind=\"naive\"}");
+  const uint64_t before = naive_decisions->Value();
+  ModeConfig config;
+  config.mode = core::ReplayMode::kAuto;
+  core::ReplayStats stats;
+  ASSERT_TRUE((*u)->RunSelective(RemoveOp(3), config, &stats).ok());
+  EXPECT_EQ(naive_decisions->Value(), before + 1);
+
+  const obs::StrategyChoice& s = stats.report.strategy;
+  EXPECT_EQ(s.kind, "naive");
+  EXPECT_TRUE(s.automatic);
+  EXPECT_EQ(s.scanned, core::kFirstStrategyCheckpoint);
+  std::string json = stats.report.ToJson();
+  auto parsed = WhatIfReport::FromJson(json);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->strategy.kind, s.kind);
+  EXPECT_EQ(parsed->strategy.automatic, s.automatic);
+  EXPECT_EQ(parsed->strategy.scanned, s.scanned);
+  EXPECT_EQ(parsed->strategy.members, s.members);
+  EXPECT_NEAR(parsed->strategy.theta, s.theta, 1e-4);
+  EXPECT_EQ(parsed->strategy.selective_est_us, s.selective_est_us);
+  EXPECT_EQ(parsed->strategy.naive_est_us, s.naive_est_us);
+  EXPECT_EQ(parsed->ToJson(), json);
+  std::string text = stats.report.ToText();
+  EXPECT_NE(text.find("strategy: naive (auto: "), std::string::npos) << text;
+}
+
 TEST(ExplainReport, FlightRecorderDumpsOnCrashFailpoint) {
   std::string path = ::testing::TempDir() + "/flight_dump_test.json";
   std::remove(path.c_str());

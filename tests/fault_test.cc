@@ -911,6 +911,85 @@ TEST_F(FaultTest, GroupFsyncFailureReachesEveryWaiter) {
   fs::remove(path);
 }
 
+// --- A what-if marker whose own fsync fails ---------------------------------
+
+TEST_F(FaultTest, MarkerFsyncFailureAbortsAndRecoveryAgrees) {
+  // The marker's write reached the file, then its group's fsync failed and
+  // the publish aborted with the live tables untouched. Recovery used to
+  // apply that marker anyway, landing in a universe the server never
+  // published. The failed marker is now truncated before the error
+  // returns (DESIGN.md §11).
+  std::string wal_path = TmpPath("marker_fsync.wal");
+  fs::remove(wal_path);
+  core::Ultraverse::Options options;
+  options.wal_path = wal_path;  // fsync_every_n = 1: every commit syncs alone
+  core::Ultraverse uv(options);
+  for (const auto& stmt : BasicHistory()) {
+    ASSERT_TRUE(uv.ExecuteSql(stmt).ok());
+  }
+  const std::string before = uv.StateFingerprint();
+  auto op = uv.MakeOp(core::RetroOp::Kind::kRemove, 2, "");
+  ASSERT_TRUE(op.ok());
+
+  FailpointConfig config;
+  config.max_fires = 1;  // the next fsync is the marker's own group
+  FailpointRegistry::Global().Arm("wal.sync.fsync", config);
+  const uint64_t truncated = CounterValue("uv.wal.marker_truncated");
+  auto result = uv.WhatIf(*op, core::SystemMode::kTD);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
+      << result.status().ToString();
+  EXPECT_EQ(CounterValue("uv.wal.marker_truncated"), truncated + 1);
+  EXPECT_EQ(uv.StateFingerprint(), before);
+  auto recovered = RecoverState(wal_path);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->report.markers_applied, 0u);
+  EXPECT_EQ(core::FingerprintDatabase(*recovered->db), before);
+
+  // The WAL stays usable: a later commit and a clean publish recover too.
+  ASSERT_TRUE(
+      uv.ExecuteSql("INSERT INTO accounts (owner, balance) VALUES ('dan', 5)")
+          .ok());
+  ASSERT_TRUE(uv.WhatIf(*op, core::SystemMode::kTD).ok());
+  recovered = RecoverState(wal_path);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->report.markers_applied, 1u);
+  EXPECT_EQ(core::FingerprintDatabase(*recovered->db), uv.StateFingerprint());
+  fs::remove(wal_path);
+}
+
+TEST_F(FaultTest, UnremovableFailedMarkerFailStopsTheWal) {
+  // When the failed marker cannot be truncated, its outcome is unknown:
+  // the WAL refuses every later append, and restart recovery decides
+  // (here: the marker is in the file, so recovery applies it).
+  std::string wal_path = TmpPath("marker_failstop.wal");
+  fs::remove(wal_path);
+  core::Ultraverse::Options options;
+  options.wal_path = wal_path;
+  core::Ultraverse uv(options);
+  for (const auto& stmt : BasicHistory()) {
+    ASSERT_TRUE(uv.ExecuteSql(stmt).ok());
+  }
+  auto op = uv.MakeOp(core::RetroOp::Kind::kRemove, 2, "");
+  ASSERT_TRUE(op.ok());
+  FailpointConfig once;
+  once.max_fires = 1;
+  FailpointRegistry::Global().Arm("wal.sync.fsync", once);
+  FailpointRegistry::Global().Arm("wal.marker.truncate", once);
+  auto result = uv.WhatIf(*op, core::SystemMode::kTD);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+      << result.status().ToString();
+  Result<sql::ExecResult> later =
+      uv.ExecuteSql("INSERT INTO accounts (owner, balance) VALUES ('dan', 5)");
+  ASSERT_FALSE(later.ok());
+  EXPECT_EQ(later.status().code(), StatusCode::kDataLoss);
+  auto recovered = RecoverState(wal_path);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->report.markers_applied, 1u);
+  fs::remove(wal_path);
+}
+
 // --- Deadline expiry mid-staging --------------------------------------------
 
 TEST_F(FaultTest, DeadlineDuringStagingLeavesLiveDbUntouched) {

@@ -637,6 +637,187 @@ TEST(CriticalPathTest, WorkloadPlansMatchConflictDagAndEngine) {
   }
 }
 
+// --- strategy choice (ReplayMode::kAuto, DESIGN.md §7.1) -------------------
+
+/// A counter table and `updates` read-modify-writes of one row: every
+/// suffix statement depends on its predecessor, so the plan of any what-if
+/// on it is the whole suffix.
+std::vector<std::string> ChainHistory(size_t updates) {
+  std::vector<std::string> h = {
+      "CREATE TABLE counter (id INT PRIMARY KEY, v INT)",
+      "INSERT INTO counter VALUES (1, 0)",
+  };
+  for (size_t i = 0; i < updates; ++i) {
+    h.push_back("UPDATE counter SET v = v * 3 + " + std::to_string(i % 7) +
+                " WHERE id = 1");
+  }
+  return h;
+}
+
+RetroOp CaseOp(const WhatIfCase& c) {
+  RetroOp op;
+  op.kind = c.kind;
+  op.index = c.index;
+  if (c.kind != RetroOp::Kind::kRemove) {
+    op.new_stmt = *sql::Parser::ParseStatement(c.new_sql);
+    op.new_sql = c.new_sql;
+  }
+  return op;
+}
+
+struct StrategyRun {
+  std::string fingerprint;
+  core::ReplayStats stats;
+};
+
+StrategyRun RunStrategy(const WhatIfCase& c, core::ReplayMode mode,
+                        std::vector<uint64_t> forced = {}) {
+  auto u = Universe::Build(c.history);
+  EXPECT_TRUE(u.ok()) << u.status().ToString();
+  const RetroOp op = CaseOp(c);
+  ModeConfig config;
+  config.mode = mode;
+  config.forced_replay = std::move(forced);
+  StrategyRun run;
+  Status st = mode == core::ReplayMode::kFullNaive
+                  ? (*u)->RunFullNaive(op, &run.stats)
+                  : (*u)->RunSelective(op, config, &run.stats);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  run.fingerprint = core::FingerprintDatabase(*(*u)->db());
+  return run;
+}
+
+TEST(StrategyTest, WholeSuffixHistoryAgreesAcrossStrategies) {
+  for (auto [kind, sql] :
+       {std::pair{RetroOp::Kind::kRemove, std::string()},
+        std::pair{RetroOp::Kind::kChange,
+                  std::string("UPDATE counter SET v = v + 100 WHERE id = 1")},
+        std::pair{RetroOp::Kind::kAdd,
+                  std::string("UPDATE counter SET v = 5 WHERE id = 1")}}) {
+    WhatIfCase c = Case(ChainHistory(600), kind, 4, sql);
+    StrategyRun selective = RunStrategy(c, core::ReplayMode::kSelective);
+    StrategyRun naive = RunStrategy(c, core::ReplayMode::kFullNaive);
+    StrategyRun chosen = RunStrategy(c, core::ReplayMode::kAuto);
+    EXPECT_EQ(chosen.fingerprint, selective.fingerprint);
+    EXPECT_EQ(chosen.fingerprint, naive.fingerprint);
+
+    EXPECT_EQ(selective.stats.report.strategy.kind, "selective");
+    EXPECT_FALSE(selective.stats.report.strategy.automatic);
+    const obs::StrategyChoice& s = chosen.stats.report.strategy;
+    EXPECT_EQ(s.kind, "naive");
+    EXPECT_TRUE(s.automatic);
+    // Decided at the first checkpoint, where all but the target slot (if
+    // the op occupies one) joined the column closure.
+    EXPECT_EQ(s.scanned, core::kFirstStrategyCheckpoint);
+    EXPECT_GE(s.members + 1, core::kFirstStrategyCheckpoint);
+    EXPECT_GT(double(s.members) / double(s.scanned), s.theta);
+    EXPECT_LT(s.naive_est_us, s.selective_est_us);
+    // Naive executes serially: its critical path is every executed slot.
+    EXPECT_EQ(chosen.stats.replayed, naive.stats.replayed);
+    EXPECT_EQ(chosen.stats.critical_path, chosen.stats.replayed);
+    // The partial scan stays the plan phase ahead of the naive phases.
+    const auto& phases = chosen.stats.report.phases;
+    ASSERT_EQ(phases.size(), 4u);
+    EXPECT_EQ(phases[0].name, "plan");
+    EXPECT_EQ(phases[1].name, "stage");
+    EXPECT_EQ(phases[2].name, "replay");
+  }
+}
+
+TEST(StrategyTest, SuffixBelowFirstCheckpointNeverBails) {
+  // 253 suffix positions: the closure never reaches a checkpoint.
+  WhatIfCase c = Case(ChainHistory(254), RetroOp::Kind::kRemove, 4);
+  StrategyRun chosen = RunStrategy(c, core::ReplayMode::kAuto);
+  const obs::StrategyChoice& s = chosen.stats.report.strategy;
+  EXPECT_EQ(s.kind, "selective");
+  EXPECT_TRUE(s.automatic);
+  EXPECT_EQ(s.scanned, 0u);
+  EXPECT_EQ(chosen.fingerprint,
+            RunStrategy(c, core::ReplayMode::kFullNaive).fingerprint);
+}
+
+TEST(StrategyTest, ForcedMembersKeepTheSelectivePath) {
+  // --check-explain checks selective verdicts: forced members pin them.
+  WhatIfCase c = Case(ChainHistory(600), RetroOp::Kind::kRemove, 4);
+  StrategyRun forced = RunStrategy(c, core::ReplayMode::kAuto, {100});
+  EXPECT_EQ(forced.stats.report.strategy.kind, "selective");
+  EXPECT_FALSE(forced.stats.report.strategy.automatic);
+  EXPECT_EQ(forced.fingerprint,
+            RunStrategy(c, core::ReplayMode::kFullNaive).fingerprint);
+}
+
+TEST(StrategyTest, ExplainGateAcceptsANaiveStrategyReport) {
+  // CheckCaseExplain runs kAuto at kFull: on this history the report it
+  // validates is the naive strategy's, one replayed verdict per position.
+  WhatIfCase c = Case(ChainHistory(300), RetroOp::Kind::kRemove, 4);
+  auto u = Universe::Build(c.history);
+  ASSERT_TRUE(u.ok());
+  ModeConfig config;
+  config.mode = core::ReplayMode::kAuto;
+  config.explain = obs::ExplainLevel::kFull;
+  core::ReplayStats stats;
+  ASSERT_TRUE((*u)->RunSelective(CaseOp(c), config, &stats).ok());
+  ASSERT_EQ(stats.report.strategy.kind, "naive");
+  EXPECT_EQ(stats.report.txns.size(), stats.report.suffix_size);
+  auto violations = CheckCaseExplain(c);
+  ASSERT_TRUE(violations.ok()) << violations.status().ToString();
+  EXPECT_TRUE(violations->empty()) << violations->front();
+}
+
+TEST(StrategyTest, ChoicePerWorkloadAtSeed7) {
+  // Analyze-only what-ifs at zero RTT choose per workload (1500-txn
+  // histories at dependency rate 0.3, the retro seed removed). tpcc's
+  // closure covers the suffix; astore's covers ~72% of it, above θ ≈ 0.45.
+  const std::pair<const char*, const char*> expected[] = {
+      {"tpcc", "naive"},          {"astore", "naive"},
+      {"seats", "selective"},     {"tatp", "selective"},
+      {"epinions", "selective"},
+  };
+  for (const auto& [name, kind] : expected) {
+    core::Ultraverse::Options options;
+    options.rtt_micros = 0;
+    core::Ultraverse uv(options);
+    workload::Driver::Config config;
+    config.dependency_rate = 0.3;
+    config.seed = 7;
+    workload::Driver driver(workload::MakeWorkload(name, 1), &uv, config);
+    ASSERT_TRUE(driver.Setup().ok()) << name;
+    ASSERT_TRUE(driver.RunHistory(1500).ok()) << name;
+    auto snap = uv.SnapshotHistory();
+    ASSERT_TRUE(snap.ok()) << name;
+    RetroOp op;
+    op.index = driver.retro_target_index();
+    auto chosen = uv.WhatIfAnalyzeAt(**snap, op, core::SystemMode::kTD);
+    auto naive = uv.WhatIfAnalyzeAt(**snap, op, core::SystemMode::kTD,
+                                    /*full_naive=*/true);
+    ASSERT_TRUE(chosen.ok() && naive.ok()) << name;
+    EXPECT_EQ(chosen->fingerprint, naive->fingerprint) << name;
+    EXPECT_EQ(chosen->stats.report.strategy.kind, kind) << name;
+    EXPECT_TRUE(chosen->stats.report.strategy.automatic) << name;
+  }
+}
+
+TEST(StrategyTest, FullNaiveChargesRttInAppCodeMode) {
+  // D mode scales the interpreter's counted round trips by
+  // critical_path / replayed; full-naive used to report a zero critical
+  // path and so charged no RTT at all.
+  core::Ultraverse uv;  // default 1 ms RTT
+  workload::Driver::Config config;
+  config.commit_mode = core::SystemMode::kD;
+  workload::Driver driver(workload::MakeWorkload("tatp", 1), &uv, config);
+  ASSERT_TRUE(driver.Setup().ok());
+  ASSERT_TRUE(driver.RunHistory(20).ok());
+  auto snap = uv.SnapshotHistory();
+  ASSERT_TRUE(snap.ok());
+  RetroOp op;
+  op.index = driver.retro_target_index();
+  auto naive = uv.WhatIfAnalyzeAt(**snap, op, core::SystemMode::kD,
+                                  /*full_naive=*/true);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(naive->stats.critical_path, naive->stats.replayed);
+  EXPECT_GT(naive->stats.virtual_rtt_micros, 0u);
+}
+
 TEST(FuzzSmokeTest, GenerationIsDeterministicPerSeed) {
   WhatIfCase a = GenerateCase(7, 3);
   WhatIfCase b = GenerateCase(7, 3);
