@@ -61,7 +61,7 @@ void Run() {
         std::exit(1);
       }
       secs[m] = TotalSeconds(*stats);
-      wall_ms[m] = stats->total_seconds * 1e3;
+      wall_ms[m] = double(stats->report.WallMicros()) / 1e3;
       session.Row({{"workload", name},
                    {"mode", core::SystemModeName(runs[m].mode)},
                    {"engine", m == 4 ? "tree" : "vm"},

@@ -95,7 +95,7 @@ Run RunOne(const std::string& name, size_t history, double hit_point,
   }
   Run run;
   run.seconds = TotalSeconds(*stats);
-  run.wall_ms = stats->total_seconds * 1e3;
+  run.wall_ms = double(stats->report.WallMicros()) / 1e3;
   run.hit = stats->hash_jump;
   run.jump_index = stats->hash_jump_index;
   run.replayed = stats->replayed;

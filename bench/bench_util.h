@@ -84,7 +84,7 @@ inline Instance BuildInstance(const InstanceOptions& opts) {
 /// What-if "runtime" combining measured wall time with the simulated
 /// client<->server RTT cost (see DESIGN.md's RTT substitution).
 inline double TotalSeconds(const core::ReplayStats& stats) {
-  return stats.total_seconds + double(stats.virtual_rtt_micros) / 1e6;
+  return double(stats.report.WallMicros() + stats.virtual_rtt_micros) / 1e6;
 }
 
 /// The simulated-RTT share of TotalSeconds, in milliseconds.

@@ -39,8 +39,10 @@ struct DependencyOptions {
   bool predicate_filter = true;
 
   /// Record per-suffix-position exclusion provenance into
-  /// ReplayPlan::exclusions (ExplainLevel::kFull). Off by default: the
-  /// vector costs one byte per suffix transaction.
+  /// ReplayPlan::exclusions. The replay engine sets it at every
+  /// ExplainLevel (the report's verdict totals come from it); off by
+  /// default for other planners: the vector costs one byte per suffix
+  /// transaction.
   bool record_exclusions = false;
 
   /// Suffix log indices seeded into the closure as unconditional members

@@ -119,8 +119,8 @@ const sql::LogEntry& RetroactiveEngine::EntryAt(uint64_t index) const {
 }
 
 uint64_t RetroactiveEngine::HistoryEnd() const {
-  return options_.horizon_override ? options_.horizon_override
-                                   : log_->last_index();
+  return options_.pinned_entries ? options_.pinned_entries->size()
+                                 : log_->last_index();
 }
 
 RetroactiveEngine::~RetroactiveEngine() = default;
@@ -380,43 +380,68 @@ void CountStrategy(const obs::StrategyChoice& choice) {
   (choice.kind == "naive" ? naive : selective)->Inc();
 }
 
+/// The pipeline phases of a what-if, in order. The naive strategy has no
+/// plan phase of its own; a plan abandoned under kAuto keeps its partial
+/// scan as one.
+enum class ReplayPhase { kPlan, kStage, kReplay, kPublish };
+
+/// What one phase feeds: its PhaseBreakdown name, its trace span and its
+/// wall-time histogram.
+struct PhaseChannel {
+  const char* name;
+  const char* span;
+  obs::Histogram* wall_us;
+};
+
+const PhaseChannel& ChannelOf(ReplayPhase phase) {
+  static const std::array<PhaseChannel, 4> channels = [] {
+    obs::Registry& reg = obs::Registry::Global();
+    return std::array<PhaseChannel, 4>{{
+        {"plan", "replay.plan", reg.histogram("uv.replay.phase.plan_us")},
+        {"stage", "replay.stage", reg.histogram("uv.replay.phase.stage_us")},
+        {"replay", "replay.replay",
+         reg.histogram("uv.replay.phase.replay_us")},
+        {"publish", "replay.publish",
+         reg.histogram("uv.replay.phase.publish_us")},
+    }};
+  }();
+  return channels[size_t(phase)];
+}
+
 }  // namespace
 
-/// Decision-provenance bookkeeping (DESIGN.md §13) shared by both
-/// strategies, so a what-if that abandons its plan for full re-execution
-/// keeps one report: the partial plan phase, then the naive phases. Off
-/// (Options::explain == kOff) it records nothing.
+/// Decision provenance (DESIGN.md §13) and the only clock of a what-if
+/// (DESIGN.md §8), shared by both strategies, so a what-if that abandons
+/// its plan for full re-execution keeps one report: the partial plan
+/// phase, then the naive phases. Phase() ends the running phase and starts
+/// the next; every phase boundary is one wall and one CPU clock mark that
+/// feeds the report's PhaseBreakdown, the phase's trace span and its
+/// uv.replay.phase.<name>_us histogram, so the three agree and the phases
+/// add up to the what-if's wall time.
 class RetroactiveEngine::ReportRecorder {
  public:
   ReportRecorder(obs::ExplainLevel level, const RetroOp& op,
                  uint64_t suffix_size, obs::WhatIfReport* report)
       : level_(level), report_(report) {
-    if (!on()) return;
     report->op = RetroOpName(op.kind);
     report->target_index = op.index;
     report->level = level;
     report->suffix_size = suffix_size;
     layer_base_ = LayerCounters::Get().Sample();
-    phase_cpu_ = obs::NowCpuMicros();
     flight_token_ = obs::FlightRecorder::Global().Begin(*report);
   }
 
-  bool on() const { return level_ != obs::ExplainLevel::kOff; }
   bool full() const { return level_ == obs::ExplainLevel::kFull; }
 
-  void EndPhase(const char* name, uint64_t wall_us) {
-    if (!on()) return;
-    uint64_t cpu = obs::NowCpuMicros();
-    report_->phases.push_back(obs::PhaseBreakdown{name, wall_us,
-                                                  cpu - phase_cpu_});
-    phase_cpu_ = cpu;
-    obs::FlightRecorder::Global().Update(flight_token_, *report_,
-                                         /*completed=*/false);
+  /// Ends the running phase, if any, and starts `phase`.
+  void Phase(ReplayPhase phase) {
+    EndPhase();
+    running_ = &ChannelOf(phase);
+    span_.emplace(running_->span);
   }
 
   /// Fatal replay error: leave a post-mortem artifact before unwinding.
   void NoteFatal(const Status& st) {
-    if (!on()) return;
     ApplyLayerDeltas(layer_base_, report_);
     obs::FlightRecorder::Global().Update(flight_token_, *report_,
                                          /*completed=*/false);
@@ -424,8 +449,13 @@ class RetroactiveEngine::ReportRecorder {
                                             st.ToString());
   }
 
-  void Complete(uint64_t staged_bytes) {
-    if (!on()) return;
+  /// Ends the last phase, records the what-if's total wall time and
+  /// completes the report.
+  void Finish(uint64_t staged_bytes) {
+    EndPhase();
+    static obs::Histogram* const total_us =
+        obs::Registry::Global().histogram("uv.replay.phase.total_us");
+    total_us->Record(report_->WallMicros());
     report_->staged_bytes = staged_bytes;
     ApplyLayerDeltas(layer_base_, report_);
     TallyVerdictMetrics(*report_);
@@ -434,11 +464,31 @@ class RetroactiveEngine::ReportRecorder {
   }
 
  private:
+  void EndPhase() {
+    const uint64_t wall = NowMicros();
+    const uint64_t cpu = obs::NowCpuMicros();
+    if (running_ != nullptr) {
+      span_.reset();
+      const uint64_t wall_us = wall - mark_wall_;
+      report_->phases.push_back(
+          obs::PhaseBreakdown{running_->name, wall_us, cpu - mark_cpu_});
+      running_->wall_us->Record(wall_us);
+      obs::FlightRecorder::Global().Update(flight_token_, *report_,
+                                           /*completed=*/false);
+      running_ = nullptr;
+    }
+    mark_wall_ = wall;
+    mark_cpu_ = cpu;
+  }
+
   obs::ExplainLevel level_;
   obs::WhatIfReport* report_;
   uint64_t flight_token_ = 0;
   std::array<uint64_t, LayerCounters::kN> layer_base_{};
-  uint64_t phase_cpu_ = 0;
+  const PhaseChannel* running_ = nullptr;
+  std::optional<obs::TraceSpan> span_;
+  uint64_t mark_wall_ = 0;
+  uint64_t mark_cpu_ = 0;
 };
 
 Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
@@ -446,40 +496,28 @@ Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
                                            ReplayStats* out) {
   ReplayStats& stats = *out;
   stats.schema_rebuild = true;  // the whole universe is rebuilt from the log
-  Stopwatch total_watch;
-  obs::TraceSpan op_span("replay.full_naive",
-                         {{"index", op.index}, {"history", horizon}});
   static obs::Counter* const naive_runs =
       obs::Registry::Global().counter("uv.oracle.naive.runs");
   static obs::Counter* const naive_prefix_entries =
       obs::Registry::Global().counter("uv.oracle.naive.prefix_entries");
   static obs::Counter* const naive_suffix_entries =
       obs::Registry::Global().counter("uv.oracle.naive.suffix_entries");
-  static obs::Histogram* const naive_total_us =
-      obs::Registry::Global().histogram("uv.oracle.naive.total_us");
   naive_runs->Inc();
   obs::WhatIfReport& report = stats.report;
   report.strategy.kind = "naive";
-  if (rec->on() && options_.mode == ReplayMode::kFullNaive) {
-    report.mode = "full-naive";
-  }
+  if (options_.mode == ReplayMode::kFullNaive) report.mode = "full-naive";
 
+  rec->Phase(ReplayPhase::kStage);
   temp_db_ = std::make_unique<sql::Database>();
   temp_db_->set_exec_engine(db_->exec_engine());
   size_t executed = 0;
 
   // Settled prefix: recorded nondeterminism, no §6 rules.
-  Stopwatch rollback_watch;
-  {
-    obs::TraceSpan prefix_span("naive.prefix", {{"entries", op.index - 1}});
-    for (uint64_t idx = 1; idx < op.index; ++idx) {
-      UV_RETURN_NOT_OK(ExecuteSlot(temp_db_.get(), Slot{false, idx}, op, idx,
-                                   /*apply_rules=*/false));
-    }
+  for (uint64_t idx = 1; idx < op.index; ++idx) {
+    UV_RETURN_NOT_OK(ExecuteSlot(temp_db_.get(), Slot{false, idx}, op, idx,
+                                 /*apply_rules=*/false));
   }
   naive_prefix_entries->Add(op.index - 1);
-  stats.rollback_seconds = rollback_watch.ElapsedSeconds();
-  rec->EndPhase("stage", rollback_watch.ElapsedMicros());
 
   // High-watermark AUTO_INCREMENT policy + logical-clock alignment: the
   // selective path stages a CoW clone of the *live* database, so its
@@ -498,27 +536,21 @@ Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
 
   // Rewritten suffix: the retroactive op slots in at τ, the removed/changed
   // original drops out, everything else replays in order.
-  Stopwatch replay_watch;
+  rec->Phase(ReplayPhase::kReplay);
   const bool replay_target = op.kind != RetroOp::Kind::kRemove;
   uint64_t commit = op.index;
-  {
-    obs::TraceSpan suffix_span("naive.suffix",
-                               {{"entries", stats.suffix_size}});
-    if (replay_target) {
-      UV_RETURN_NOT_OK(
-          ExecuteSlot(temp_db_.get(), Slot{true, op.index}, op, commit++));
-      ++executed;
-    }
-    for (uint64_t idx = op.index; idx <= horizon; ++idx) {
-      if (idx == op.index && op.kind != RetroOp::Kind::kAdd) continue;
-      UV_RETURN_NOT_OK(
-          ExecuteSlot(temp_db_.get(), Slot{false, idx}, op, commit++));
-      ++executed;
-    }
+  if (replay_target) {
+    UV_RETURN_NOT_OK(
+        ExecuteSlot(temp_db_.get(), Slot{true, op.index}, op, commit++));
+    ++executed;
+  }
+  for (uint64_t idx = op.index; idx <= horizon; ++idx) {
+    if (idx == op.index && op.kind != RetroOp::Kind::kAdd) continue;
+    UV_RETURN_NOT_OK(
+        ExecuteSlot(temp_db_.get(), Slot{false, idx}, op, commit++));
+    ++executed;
   }
   naive_suffix_entries->Add(executed);
-  stats.replay_seconds = replay_watch.ElapsedSeconds();
-  rec->EndPhase("replay", replay_watch.ElapsedMicros());
   stats.replayed = executed;
   stats.planned_replay = executed;
   stats.critical_path = executed;  // serial: no overlap to model
@@ -530,14 +562,13 @@ Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
   // committed markers through exactly this full-naive path. Analyze-only
   // executions stop here: the rebuilt universe in last_temp_db() IS the
   // result, and the live database stays untouched.
+  rec->Phase(ReplayPhase::kPublish);
   UV_RETURN_NOT_OK(CheckCancel(options_.cancel, "replay.publish"));
-  Stopwatch publish_watch;
   if (options_.publish) {
     // Adopt everything: tables present on either side (a table the
     // rewritten history never creates must disappear from the live
     // database) plus the object catalog. Exclusive from the epoch conflict
     // check through the swap, so no commit slips in between.
-    obs::TraceSpan adopt_span("naive.adopt");
     std::unique_lock<std::shared_mutex> publish_lock;
     if (options_.db_mutex) {
       publish_lock = std::unique_lock<std::shared_mutex>(*options_.db_mutex);
@@ -568,38 +599,32 @@ Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
   } else {
     stats.mutated_tables = temp_db_->TableNames().size();
   }
-  // A plan abandoned under kAuto already spent its analysis time.
-  stats.total_seconds = stats.analysis_seconds + total_watch.ElapsedSeconds();
-  naive_total_us->Record(total_watch.ElapsedMicros());
-  stats.obs = obs::Registry::Global().Collect();
-  if (rec->on()) {
-    report.replayed = stats.replayed;
-    report.skipped = 0;
-    // Full-naive replays everything: every suffix slot is a kReplayed
-    // verdict except the vacated target slot of a remove/change.
-    const uint64_t vacated = op.kind != RetroOp::Kind::kAdd ? op.index : 0;
-    for (uint64_t idx = op.index; idx <= horizon; ++idx) {
-      const obs::TxnVerdict v = idx == vacated ? obs::TxnVerdict::kRetroTarget
-                                               : obs::TxnVerdict::kReplayed;
-      report.Tally(v);
-      if (!rec->full()) continue;
-      obs::TxnExplain te;
-      te.index = idx;
-      te.verdict = v;
-      te.evidence = idx == vacated ? "retroactive target slot"
-                                   : "full re-execution (naive strategy)";
-      report.txns.push_back(std::move(te));
-    }
-    if (replay_target && rec->full()) {
-      obs::TxnExplain te;
-      te.index = op.index;
-      te.is_new = true;
-      te.evidence = "retroactive statement executes at its insertion slot";
-      report.txns.insert(report.txns.begin(), std::move(te));
-    }
-    rec->EndPhase("publish", publish_watch.ElapsedMicros());
-    rec->Complete(stats.temp_db_bytes);
+  report.replayed = stats.replayed;
+  report.skipped = 0;
+  // Full-naive replays everything: every suffix slot is a kReplayed
+  // verdict except the vacated target slot of a remove/change.
+  const uint64_t vacated = op.kind != RetroOp::Kind::kAdd ? op.index : 0;
+  for (uint64_t idx = op.index; idx <= horizon; ++idx) {
+    const obs::TxnVerdict v = idx == vacated ? obs::TxnVerdict::kRetroTarget
+                                             : obs::TxnVerdict::kReplayed;
+    report.Tally(v);
+    if (!rec->full()) continue;
+    obs::TxnExplain te;
+    te.index = idx;
+    te.verdict = v;
+    te.evidence = idx == vacated ? "retroactive target slot"
+                                 : "full re-execution (naive strategy)";
+    report.txns.push_back(std::move(te));
   }
+  if (replay_target && rec->full()) {
+    obs::TxnExplain te;
+    te.index = op.index;
+    te.is_new = true;
+    te.evidence = "retroactive statement executes at its insertion slot";
+    report.txns.insert(report.txns.begin(), std::move(te));
+  }
+  rec->Finish(stats.temp_db_bytes);
+  stats.obs = obs::Registry::Global().Collect();
   return Status::OK();
 }
 
@@ -638,13 +663,15 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   stats.history_size = horizon;
   stats.suffix_size = horizon >= op.index ? horizon - op.index + 1 : 0;
   obs::WhatIfReport& report = stats.report;
+  obs::TraceSpan op_span("replay.execute", {{"op", RetroOpName(op.kind)},
+                                            {"index", op.index},
+                                            {"history", horizon}});
   // --- Decision-provenance report (DESIGN.md §13) --------------------------
   // Assembled alongside the analysis; the flight recorder holds an
   // in-flight copy from the first phase on, so a crash anywhere below
-  // leaves this very report as the newest ring entry.
+  // leaves this very report as the newest ring entry. Its phase spans
+  // nest under replay.execute.
   ReportRecorder rec(options_.explain, op, stats.suffix_size, &report);
-  const bool explain_on = rec.on();
-  const bool explain_full = rec.full();
 
   if (options_.mode == ReplayMode::kFullNaive) {
     // Ground-truth reference path: no dependency analysis, no staging
@@ -652,23 +679,9 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     UV_RETURN_NOT_OK(ExecuteFullNaive(op, horizon, &rec, &stats));
     return stats;
   }
-  Stopwatch total_watch;
-
-  obs::TraceSpan op_span(
-      "replay.execute",
-      {{"op", op.kind == RetroOp::Kind::kAdd      ? "add"
-              : op.kind == RetroOp::Kind::kRemove ? "remove"
-                                                  : "change"},
-       {"index", op.index},
-       {"history", horizon}});
-  // One span per pipeline phase; emplace() closes the previous phase and
-  // opens the next, so the trace shows analysis → rollback → replay → adopt
-  // nested under replay.execute.
-  std::optional<obs::TraceSpan> phase_span;
-  phase_span.emplace("replay.analysis");
 
   // --- 1. Dependency analysis / replay plan ------------------------------
-  Stopwatch analysis_watch;
+  rec.Phase(ReplayPhase::kPlan);
   QueryRW target_rw;
   bool replay_target = op.kind != RetroOp::Kind::kRemove;
   if (op.kind == RetroOp::Kind::kRemove) {
@@ -692,7 +705,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     }
   }
   DependencyOptions deps = options_.deps;
-  deps.record_exclusions = explain_on;
+  deps.record_exclusions = true;
   // Ground-truth gate (--check-explain): seed selected suffix indices into
   // the closure as unconditional members. Seeding — not merging into the
   // finished plan — keeps the closure invariant: later writers of a forced
@@ -727,9 +740,6 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     // The closure is projected to cover so much of the suffix that full
     // re-execution is cheaper: keep the partial scan as the plan phase and
     // build the universe naively.
-    stats.analysis_seconds = analysis_watch.ElapsedSeconds();
-    rec.EndPhase("plan", analysis_watch.ElapsedMicros());
-    phase_span.reset();
     UV_RETURN_NOT_OK(ExecuteFullNaive(op, horizon, &rec, &stats));
     return stats;
   }
@@ -751,7 +761,6 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   stats.mutated_tables = plan.mutated_tables.size();
   stats.consulted_tables = plan.consulted_tables.size();
   stats.schema_rebuild = plan.needs_schema_rebuild;
-  stats.analysis_seconds = analysis_watch.ElapsedSeconds();
   // Catalog mutations in the plan (a DDL target or member) are invisible
   // to per-table row digests: removing a CREATE INDEX leaves every row
   // multiset identical, so the first probe "hits" and adoption — which is
@@ -768,61 +777,52 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   const bool hash_jumper_on =
       options_.hash_jumper && !plan.needs_schema_rebuild && options_.publish;
   {
-    static obs::Histogram* const h_analysis =
-        obs::Registry::Global().histogram("uv.replay.phase.analysis_us");
     static obs::Counter* const planned =
         obs::Registry::Global().counter("uv.replay.slots.planned");
     static obs::Counter* const skipped =
         obs::Registry::Global().counter("uv.replay.slots.skipped");
-    h_analysis->Record(analysis_watch.ElapsedMicros());
     planned->Add(stats.planned_replay);
     skipped->Add(stats.skipped);
   }
-  if (explain_on) {
-    for (PlanExclusion e : plan.exclusions) report.Tally(VerdictFor(e));
-    if (explain_full) {
-      report.txns.reserve(plan.exclusions.size() + 1);
-      if (replay_target) {
-        obs::TxnExplain te;
-        te.index = op.index;
-        te.is_new = true;
-        te.evidence = "retroactive statement executes at its insertion slot";
-        te.read_tables.assign(target_rw.read_tables.begin(),
-                              target_rw.read_tables.end());
-        te.write_tables.assign(target_rw.write_tables.begin(),
-                               target_rw.write_tables.end());
-        report.txns.push_back(std::move(te));
+  for (PlanExclusion e : plan.exclusions) report.Tally(VerdictFor(e));
+  if (rec.full()) {
+    report.txns.reserve(plan.exclusions.size() + 1);
+    if (replay_target) {
+      obs::TxnExplain te;
+      te.index = op.index;
+      te.is_new = true;
+      te.evidence = "retroactive statement executes at its insertion slot";
+      te.read_tables.assign(target_rw.read_tables.begin(),
+                            target_rw.read_tables.end());
+      te.write_tables.assign(target_rw.write_tables.begin(),
+                             target_rw.write_tables.end());
+      report.txns.push_back(std::move(te));
+    }
+    for (size_t j = 0; j < plan.exclusions.size(); ++j) {
+      uint64_t idx = plan.exclusions_base + j;
+      const QueryRW& rw = analysis[idx - 1];
+      obs::TxnExplain te;
+      te.index = idx;
+      te.verdict = VerdictFor(plan.exclusions[j]);
+      te.evidence = forced_members.count(idx)
+                        ? "forced replay (ground-truth gate)"
+                        : EvidenceFor(plan.exclusions[j]);
+      if (!forced_members.count(idx) && j < plan.exclusion_detail.size() &&
+          !plan.exclusion_detail[j].empty()) {
+        // Predicate-tier verdicts carry the disjoint region pair.
+        te.evidence += ": " + plan.exclusion_detail[j];
       }
-      for (size_t j = 0; j < plan.exclusions.size(); ++j) {
-        uint64_t idx = plan.exclusions_base + j;
-        const QueryRW& rw = analysis[idx - 1];
-        obs::TxnExplain te;
-        te.index = idx;
-        te.verdict = VerdictFor(plan.exclusions[j]);
-        te.evidence = forced_members.count(idx)
-                          ? "forced replay (ground-truth gate)"
-                          : EvidenceFor(plan.exclusions[j]);
-        if (!forced_members.count(idx) &&
-            j < plan.exclusion_detail.size() &&
-            !plan.exclusion_detail[j].empty()) {
-          // Predicate-tier verdicts carry the disjoint region pair.
-          te.evidence += ": " + plan.exclusion_detail[j];
-        }
-        te.read_tables.assign(rw.read_tables.begin(), rw.read_tables.end());
-        te.write_tables.assign(rw.write_tables.begin(),
-                               rw.write_tables.end());
-        te.cluster_id = plan.cluster_ids[j];
-        report.txns.push_back(std::move(te));
-      }
+      te.read_tables.assign(rw.read_tables.begin(), rw.read_tables.end());
+      te.write_tables.assign(rw.write_tables.begin(), rw.write_tables.end());
+      te.cluster_id = plan.cluster_ids[j];
+      report.txns.push_back(std::move(te));
     }
   }
-  rec.EndPhase("plan", analysis_watch.ElapsedMicros());
 
   // --- 2. Stage the temporary database ------------------------------------
-  phase_span.emplace("replay.rollback");
+  rec.Phase(ReplayPhase::kStage);
   UV_RETURN_NOT_OK(CheckCancel(options_.cancel, "replay.stage"));
   UV_FAILPOINT("replay.stage.pre");
-  Stopwatch rollback_watch;
   std::vector<std::string> affected(plan.mutated_tables.begin(),
                                     plan.mutated_tables.end());
   affected.insert(affected.end(), plan.consulted_tables.begin(),
@@ -879,7 +879,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     stats.mutated_tables = plan.mutated_tables.size();
     // Rebuild-widened members replay for staging reasons, not because a
     // dependency rule fired — the report says so explicitly.
-    if (explain_on && !plan.exclusions.empty()) {
+    if (!plan.exclusions.empty()) {
       for (uint64_t idx : plan.replay_indices) {
         size_t j = size_t(idx - plan.exclusions_base);
         if (idx < plan.exclusions_base || j >= plan.exclusions.size()) {
@@ -889,7 +889,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
         --report.verdict_counts[size_t(VerdictFor(plan.exclusions[j]))];
         report.Tally(obs::TxnVerdict::kReplayed);
         plan.exclusions[j] = PlanExclusion::kMember;
-        if (explain_full) {
+        if (rec.full()) {
           obs::TxnExplain& te = report.txns[(replay_target ? 1 : 0) + j];
           te.verdict = obs::TxnVerdict::kReplayed;
           te.rebuild_widened = true;
@@ -957,14 +957,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
                                              plan.mutated_tables.end());
     temp_db_->RollbackCommitsInTables(undo_commits, rollback_tables);
   }
-  stats.rollback_seconds = rollback_watch.ElapsedSeconds();
   UV_FAILPOINT("replay.stage.post");
-  {
-    static obs::Histogram* const h_rollback =
-        obs::Registry::Global().histogram("uv.replay.phase.rollback_us");
-    h_rollback->Record(rollback_watch.ElapsedMicros());
-  }
-  rec.EndPhase("stage", rollback_watch.ElapsedMicros());
 
   // Hash-jumper timeline: only consulted (and only built) when the
   // Hash-jumper is on; cached across Execute() calls keyed by the history
@@ -973,8 +966,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
       hash_jumper_on ? EnsureTimeline() : nullptr;
 
   // --- 3. Replay ----------------------------------------------------------
-  phase_span.emplace("replay.replay");
-  Stopwatch replay_watch;
+  rec.Phase(ReplayPhase::kReplay);
   std::vector<Slot> slots;
   if (replay_target) slots.push_back(Slot{true, op.index});
   for (uint64_t idx : plan.replay_indices) slots.push_back(Slot{false, idx});
@@ -1098,13 +1090,6 @@ Result<ReplayStats> RetroactiveEngine::Execute(
       break;
     }
   }
-  stats.replay_seconds = replay_watch.ElapsedSeconds();
-  {
-    static obs::Histogram* const h_replay =
-        obs::Registry::Global().histogram("uv.replay.phase.replay_us");
-    h_replay->Record(replay_watch.ElapsedMicros());
-  }
-  rec.EndPhase("replay", replay_watch.ElapsedMicros());
   if (!replay_status.ok() &&
       ClassifyReplayError(replay_status) == ReplayErrorClass::kFatal) {
     rec.NoteFatal(replay_status);
@@ -1142,8 +1127,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   // crash before the marker recovers to the original timeline; a crash
   // anywhere after it recovers to the fully rewritten one; no crash point
   // lands between.
-  phase_span.emplace("replay.adopt");
-  Stopwatch publish_watch;
+  rec.Phase(ReplayPhase::kPublish);
   UV_RETURN_NOT_OK(CheckCancel(options_.cancel, "replay.publish"));
   if (options_.publish) {
     // Exclusive from the epoch-conflict check through the swap: no commit
@@ -1210,56 +1194,45 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   // Past the commit point AND the swap: an error injected here surfaces to
   // the caller, but the what-if is already durably committed.
   UV_FAILPOINT("whatif.publish.post_swap");
-  phase_span.reset();
-  stats.total_seconds = total_watch.ElapsedSeconds();
-  {
-    static obs::Histogram* const h_total =
-        obs::Registry::Global().histogram("uv.replay.phase.total_us");
-    h_total->Record(total_watch.ElapsedMicros());
-  }
-  stats.obs = obs::Registry::Global().Collect();
-  if (explain_on) {
-    report.replayed = stats.replayed;
-    report.skipped = stats.skipped;
-    report.hash_jump = hash_jumped;
-    report.hash_jump_index = jump_index;
-    if (hash_jumped) {
-      // Plan members past the convergence point never executed; the digest
-      // that justified the jump is the evidence.
-      std::string digest_hex;
-      if (timeline != nullptr) {
-        for (const auto& t : plan.mutated_tables) {
-          if (const Digest256* d = timeline->HashAt(t, jump_index)) {
-            digest_hex = d->ToHex().substr(0, 16);
-            break;
-          }
+  report.replayed = stats.replayed;
+  report.skipped = stats.skipped;
+  report.hash_jump = hash_jumped;
+  report.hash_jump_index = jump_index;
+  if (hash_jumped) {
+    // Plan members past the convergence point never executed; the digest
+    // that justified the jump is the evidence.
+    std::string digest_hex;
+    if (timeline != nullptr) {
+      for (const auto& t : plan.mutated_tables) {
+        if (const Digest256* d = timeline->HashAt(t, jump_index)) {
+          digest_hex = d->ToHex().substr(0, 16);
+          break;
         }
       }
-      size_t jump_skipped = 0;
-      for (size_t j = 0; j < plan.exclusions.size(); ++j) {
-        uint64_t idx = plan.exclusions_base + j;
-        if (plan.exclusions[j] != PlanExclusion::kMember ||
-            idx <= jump_index) {
-          continue;
-        }
-        ++jump_skipped;
-        if (explain_full) {
-          obs::TxnExplain& te = report.txns[(replay_target ? 1 : 0) + j];
-          te.verdict = obs::TxnVerdict::kHashJumpSkip;
-          te.evidence =
-              "unexecuted after hash-jump: mutated-table digests matched "
-              "the original timeline";
-          te.digest = digest_hex;
-        }
-      }
-      report.verdict_counts[size_t(obs::TxnVerdict::kReplayed)] -=
-          jump_skipped;
-      report.verdict_counts[size_t(obs::TxnVerdict::kHashJumpSkip)] +=
-          jump_skipped;
     }
-    rec.EndPhase("publish", publish_watch.ElapsedMicros());
-    rec.Complete(stats.temp_db_bytes);
+    size_t jump_skipped = 0;
+    for (size_t j = 0; j < plan.exclusions.size(); ++j) {
+      uint64_t idx = plan.exclusions_base + j;
+      if (plan.exclusions[j] != PlanExclusion::kMember || idx <= jump_index) {
+        continue;
+      }
+      ++jump_skipped;
+      if (rec.full()) {
+        obs::TxnExplain& te = report.txns[(replay_target ? 1 : 0) + j];
+        te.verdict = obs::TxnVerdict::kHashJumpSkip;
+        te.evidence =
+            "unexecuted after hash-jump: mutated-table digests matched "
+            "the original timeline";
+        te.digest = digest_hex;
+      }
+    }
+    report.verdict_counts[size_t(obs::TxnVerdict::kReplayed)] -=
+        jump_skipped;
+    report.verdict_counts[size_t(obs::TxnVerdict::kHashJumpSkip)] +=
+        jump_skipped;
   }
+  rec.Finish(stats.temp_db_bytes);
+  stats.obs = obs::Registry::Global().Collect();
   return stats;
 }
 

@@ -127,22 +127,20 @@ struct ReplayStats {
   /// the naive strategy, which re-executes serially with no overlap.
   size_t critical_path = 0;
 
-  double analysis_seconds = 0;   // dependency-plan computation
-  double rollback_seconds = 0;
-  double replay_seconds = 0;
-  double total_seconds = 0;
   uint64_t virtual_rtt_micros = 0;  // simulated client<->server RTT charged
   size_t temp_db_bytes = 0;         // temporary database footprint
   int workers = 1;  // always 1: slots replay inline on the calling thread
 
-  /// Merged point-in-time view of every process metric, captured at the end
-  /// of Execute(). Includes the per-phase latency histograms
-  /// (replay.phase.*_us), staging/fault-in counters, VM plan-cache and
-  /// tree-fallback counters and Hash-jumper probe outcomes — see DESIGN.md
-  /// "Observability".
+  /// Merged point-in-time view of every process metric, collected as
+  /// Execute() returns, after this what-if's phases and verdicts were
+  /// recorded: the uv.replay.phase.*_us histograms, staging/fault-in
+  /// counters, VM plan-cache and tree-fallback counters, Hash-jumper probe
+  /// outcomes and verdict counters (DESIGN.md §8). Process-wide: it also
+  /// holds every earlier and concurrent operation's samples.
   obs::Snapshot obs;
 
-  /// Decision-provenance report (DESIGN.md §13): phase wall/CPU breakdown,
+  /// Decision-provenance report (DESIGN.md §13): the phase wall/CPU
+  /// breakdown (the what-if's only timing; see WhatIfReport::WallMicros),
   /// staging/VM/lifecycle activity, verdict totals — and, at
   /// Options::explain == kFull, one TxnExplain per suffix transaction.
   obs::WhatIfReport report;
@@ -194,14 +192,12 @@ class RetroactiveEngine {
     /// touches the live database's counters. Many analyze-only executions
     /// may run concurrently over one shared immutable snapshot.
     bool publish = true;
-    /// When nonzero, the replay horizon is pinned to this history length
-    /// instead of the live log's current size — the what-if runs against
-    /// the prefix frozen at snapshot time while writers keep appending.
-    uint64_t horizon_override = 0;
-    /// Entry pointers for log indices [1, horizon_override], captured under
-    /// the commit lock at snapshot time. When set, the engine reads history
-    /// exclusively through them: concurrent appends mutate the deque's
-    /// internals, so even bounded-index reads of the live log would race.
+    /// Entry pointers for log indices [1, N], captured under the commit
+    /// lock at snapshot time. When set, the engine reads history
+    /// exclusively through them and N is the replay horizon: the what-if
+    /// runs against the prefix frozen at snapshot time while writers keep
+    /// appending, and concurrent appends mutate the deque's internals, so
+    /// even bounded-index reads of the live log would race.
     const std::vector<const sql::LogEntry*>* pinned_entries = nullptr;
     /// History epoch the snapshot (pinned_entries / the staged base) was
     /// taken at. Two uses: the Hash-jumper timeline cache key, and — in
@@ -230,7 +226,7 @@ class RetroactiveEngine {
     /// How much decision provenance Execute() assembles into
     /// ReplayStats::report. kSummary (default) records phase timings,
     /// verdict totals and layer counters; kFull adds one TxnExplain per
-    /// suffix transaction; kOff records nothing (bench ablation).
+    /// suffix transaction.
     obs::ExplainLevel explain = obs::ExplainLevel::kSummary;
     /// Log indices forced into the replay plan regardless of the
     /// dependency analysis (their tables are staged and rolled back like
@@ -308,7 +304,8 @@ class RetroactiveEngine {
   Status ExecuteSlot(sql::Database* db, const Slot& slot, const RetroOp& op,
                      uint64_t commit_index, bool apply_rules = true);
 
-  /// Decision-provenance bookkeeping shared by both strategies (replay.cc).
+  /// The what-if's report and its only clock, shared by both strategies
+  /// (replay.cc).
   class ReportRecorder;
 
   /// The naive strategy (ReplayMode::kFullNaive, or kAuto after the plan

@@ -324,28 +324,32 @@ Result<uint64_t> Ultraverse::CommitEntry(sql::LogEntry entry) {
   // changed (§4.5). Incremental hashes make this O(tables).
   if (options_.eager_hash_log) {
     for (const auto& name : db_.TableNames()) {
-      const sql::Table* t = db_.FindTable(name);
-      const Digest256& h = t->table_hash()->value();
+      const Digest256& h = db_.FindTable(name)->table_hash()->value();
       auto it = last_hash_.find(name);
       if (it == last_hash_.end() || !(it->second == h)) {
         entry.table_hashes[name] = h;
-        last_hash_[name] = h;
       }
     }
   }
-  log_.Append(std::move(entry));
   uint64_t durability_seq = 0;
   if (wal_) {
     // Durability before visibility-to-replay: the WAL gets the committed
-    // entry (with its hash log) the moment it enters the in-memory log.
-    // The fsync wait happens in the caller AFTER commit_mu_ drops, so
-    // concurrent committers form one fsync group instead of serializing
-    // their disk waits behind the lock.
+    // entry (with its hash log) before it enters the in-memory log, so a
+    // failed append leaves nothing to undo but the statement's own live
+    // effects. The fsync wait happens in the caller AFTER commit_mu_
+    // drops, so concurrent committers form one fsync group instead of
+    // serializing their disk waits behind the lock.
+    entry.index = log_.size() + 1;
     bool sync_due = false;
-    UV_ASSIGN_OR_RETURN(uint64_t seq, wal_->AppendEntryAsync(
-                                          log_.entries().back(), &sync_due));
-    if (sync_due) durability_seq = seq;
+    Result<uint64_t> seq = wal_->AppendEntryAsync(entry, &sync_due);
+    if (!seq.ok()) {
+      db_.RollbackToIndex(log_.size());
+      return seq.status();
+    }
+    if (sync_due) durability_seq = *seq;
   }
+  for (const auto& [name, h] : entry.table_hashes) last_hash_[name] = h;
+  log_.Append(std::move(entry));
   if (options_.eager_analysis) {
     UV_ASSIGN_OR_RETURN(QueryRW rw,
                         analyzer_.AnalyzeEntry(log_.entries().back()));
@@ -694,26 +698,15 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
     obs::TraceSpan analysis_span("whatif.ensure_analysis");
     UV_ASSIGN_OR_RETURN(snap, SnapshotHistory());
   }
-  double ensure_seconds = analysis_watch.ElapsedSeconds();
+  const uint64_t analyze_us = analysis_watch.ElapsedMicros();
 
   RetroactiveEngine::Options eopts;
-  bool dep = mode == SystemMode::kD || mode == SystemMode::kTD;
-  eopts.deps.column_wise = dep;
-  eopts.deps.row_wise = dep;
-  eopts.deps.static_footprints = snap->footprints.get();
-  eopts.parallel = dep;
-  eopts.hash_jumper = options_.hash_jumper && dep;
+  eopts.hash_jumper = options_.hash_jumper &&
+                      (mode == SystemMode::kD || mode == SystemMode::kTD);
   eopts.verify_hash_hits = options_.verify_hash_hits;
   eopts.rules = std::move(rules);
   eopts.db_mutex = &commit_mu_;
   eopts.wal = wal_.get();  // two-phase publish when durability is on
-  eopts.cancel = ctx.cancel;
-  eopts.retry = ctx.retry;
-  eopts.explain = options_.explain;
-  eopts.forced_replay = options_.forced_replay;
-  eopts.pinned_entries = snap->entries.get();
-  eopts.horizon_override = snap->horizon;
-  eopts.snapshot_epoch = snap->epoch;
   eopts.timeline_cache = &timeline_cache_;
   // On publish the engine rewrites the live log to the alternate history
   // inside its critical section, then hands control back here for cache
@@ -722,52 +715,16 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
   // the dead history.
   eopts.rewrite_log = &log_;
   eopts.on_published = [this](const RetroOp& o) { OnPublishedLocked(o); };
-
-  bool use_app_code = mode == SystemMode::kB || mode == SystemMode::kD;
-  std::atomic<uint64_t> rtt_counter{0};
-  if (!use_app_code) {
-    eopts.rtt_micros_per_query = options_.rtt_micros;  // 1 RTT per CALL
-  }
-
-  // The engine analyzes the retroactive statement against a copy of the
-  // snapshot's analyzer, not the live one: the live analyzer evolves with
-  // concurrent commits, and alias/merge state learned from an uncommitted
-  // what-if must never leak into committed-history analysis.
-  QueryAnalyzer scratch_analyzer = *snap->analyzer;
-  RetroactiveEngine engine(&db_, &log_, eopts);
-  if (use_app_code) {
-    engine.set_entry_executor(
-        [this, &rtt_counter](sql::Database* target, const sql::LogEntry& entry,
-                             uint64_t commit_index) {
-          return InterpreterReplayExecutor(target, entry, commit_index,
-                                           &rtt_counter);
-        });
-  }
-  UV_ASSIGN_OR_RETURN(ReplayStats stats, engine.Execute(op, *snap->analysis,
-                                                        &scratch_analyzer));
+  UV_ASSIGN_OR_RETURN(ReplayStats stats,
+                      RunEngine(*snap, &db_, op, mode, ctx, std::move(eopts)));
   // Published: the live state diverged from everything derived at the old
   // epoch (snapshots, analyze-result cache, hash timelines). Advance the
   // epoch so every one of them invalidates on its next key check.
   log_.BumpEpoch();
-  stats.analysis_seconds += ensure_seconds;
-  stats.total_seconds += ensure_seconds;
-  if (options_.explain != obs::ExplainLevel::kOff) {
-    // The engine reported its own phases; prepend the facade's analysis
-    // step (R/W analysis of any not-yet-analyzed log suffix) and stamp the
-    // system mode.
-    stats.report.mode = SystemModeName(mode);
-    stats.report.phases.insert(
-        stats.report.phases.begin(),
-        obs::PhaseBreakdown{"analyze", uint64_t(ensure_seconds * 1e6), 0});
-  }
-  uint64_t counted = rtt_counter.load(std::memory_order_relaxed);
-  if (eopts.parallel && stats.replayed > 0) {
-    // Statement round trips counted across all replayed transactions
-    // overlap along independent DAG chains: only the critical path's
-    // share is wall time.
-    counted = counted * stats.critical_path / stats.replayed;
-  }
-  stats.virtual_rtt_micros += counted;
+  // The engine reported its own phases; prepend the facade's analysis step
+  // (R/W analysis of any not-yet-analyzed log suffix).
+  stats.report.phases.insert(stats.report.phases.begin(),
+                             obs::PhaseBreakdown{"analyze", analyze_us, 0});
   return stats;
 }
 
@@ -824,6 +781,61 @@ std::string AnalysisCacheKey(const RetroOp& op, SystemMode mode) {
 
 }  // namespace
 
+Result<ReplayStats> Ultraverse::RunEngine(const HistorySnapshot& snap,
+                                          sql::Database* db, const RetroOp& op,
+                                          SystemMode mode,
+                                          const RequestContext& ctx,
+                                          RetroactiveEngine::Options eopts,
+                                          std::string* fingerprint) {
+  const bool dep = mode == SystemMode::kD || mode == SystemMode::kTD;
+  eopts.deps.column_wise = dep;
+  eopts.deps.row_wise = dep;
+  eopts.deps.static_footprints = snap.footprints.get();
+  eopts.parallel = dep;
+  eopts.cancel = ctx.cancel;
+  eopts.retry = ctx.retry;
+  eopts.explain = options_.explain;
+  eopts.forced_replay = options_.forced_replay;
+  eopts.pinned_entries = snap.entries.get();
+  eopts.snapshot_epoch = snap.epoch;
+  const bool use_app_code = mode == SystemMode::kB || mode == SystemMode::kD;
+  if (!use_app_code) {
+    eopts.rtt_micros_per_query = options_.rtt_micros;  // 1 RTT per CALL
+  }
+
+  // The engine analyzes the retroactive statement against a copy of the
+  // snapshot's analyzer, not the live one: the live analyzer evolves with
+  // concurrent commits, alias/merge state learned from an uncommitted
+  // what-if must never leak into committed-history analysis, and N
+  // analyses sharing one analyzer would race.
+  QueryAnalyzer scratch_analyzer = *snap.analyzer;
+  RetroactiveEngine engine(db, &log_, std::move(eopts));
+  std::atomic<uint64_t> rtt_counter{0};
+  if (use_app_code) {
+    engine.set_entry_executor(
+        [this, &rtt_counter](sql::Database* target, const sql::LogEntry& entry,
+                             uint64_t commit_index) {
+          return InterpreterReplayExecutor(target, entry, commit_index,
+                                           &rtt_counter);
+        });
+  }
+  UV_ASSIGN_OR_RETURN(ReplayStats stats,
+                      engine.Execute(op, *snap.analysis, &scratch_analyzer));
+  if (fingerprint != nullptr) {
+    *fingerprint = UniverseFingerprint(*snap.db, *engine.last_temp_db());
+  }
+  stats.report.mode = SystemModeName(mode);
+  uint64_t counted = rtt_counter.load(std::memory_order_relaxed);
+  if (dep && stats.replayed > 0) {
+    // Statement round trips counted across all replayed transactions
+    // overlap along independent DAG chains: only the critical path's
+    // share is wall time.
+    counted = counted * stats.critical_path / stats.replayed;
+  }
+  stats.virtual_rtt_micros += counted;
+  return stats;
+}
+
 Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
                                                    const RetroOp& op,
                                                    SystemMode mode,
@@ -845,10 +857,6 @@ Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
                       {{"index", op.index}, {"epoch", snap.epoch}});
 
   RetroactiveEngine::Options eopts;
-  bool dep = mode == SystemMode::kD || mode == SystemMode::kTD;
-  eopts.deps.column_wise = dep;
-  eopts.deps.row_wise = dep;
-  eopts.deps.static_footprints = snap.footprints.get();
   // Without modelled RTT the engine picks the cheaper strategy per what-if
   // (DESIGN.md §7.1). With RTT the selective replay's overlap along the
   // conflict DAG's critical path outweighs the engine-time gap, and that
@@ -856,59 +864,20 @@ Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
   eopts.mode = full_naive                ? ReplayMode::kFullNaive
                : options_.rtt_micros == 0 ? ReplayMode::kAuto
                                           : ReplayMode::kSelective;
-  eopts.parallel = dep;
   // Analyze-only: no publish, no WAL marker, no live-database locks — the
   // snapshot is immutable, so staging and fault-ins run lock-free. The
   // engine additionally forces the Hash-jumper off (the temporary database
   // must reach the horizon to BE the result).
   eopts.publish = false;
-  eopts.db_mutex = nullptr;
-  eopts.wal = nullptr;
-  eopts.cancel = ctx.cancel;
-  eopts.retry = ctx.retry;
-  eopts.explain = options_.explain;
-  eopts.forced_replay = options_.forced_replay;
-  eopts.pinned_entries = snap.entries.get();
-  eopts.horizon_override = snap.horizon;
-  eopts.snapshot_epoch = snap.epoch;
-
-  bool use_app_code = mode == SystemMode::kB || mode == SystemMode::kD;
-  std::atomic<uint64_t> rtt_counter{0};
-  if (!use_app_code) {
-    eopts.rtt_micros_per_query = options_.rtt_micros;  // 1 RTT per CALL
-  }
-
   // The snapshot database is const by contract; publish=false guarantees
   // the engine only ever reads it (clone-from, fault-in-from, fingerprint),
   // so the cast does not break the sharing contract with other analyses.
   sql::Database* snap_db = const_cast<sql::Database*>(snap.db.get());
-  // Per-analysis analyzer copy: AnalyzeStatement on the retroactive target
-  // may evolve alias/merge state, and N analyses sharing one analyzer
-  // would race.
-  QueryAnalyzer scratch_analyzer = *snap.analyzer;
-  RetroactiveEngine engine(snap_db, &log_, eopts);
-  if (use_app_code) {
-    engine.set_entry_executor(
-        [this, &rtt_counter](sql::Database* target, const sql::LogEntry& entry,
-                             uint64_t commit_index) {
-          return InterpreterReplayExecutor(target, entry, commit_index,
-                                           &rtt_counter);
-        });
-  }
   WhatIfAnalysis out;
-  UV_ASSIGN_OR_RETURN(out.stats, engine.Execute(op, *snap.analysis,
-                                                &scratch_analyzer));
+  UV_ASSIGN_OR_RETURN(out.stats, RunEngine(snap, snap_db, op, mode, ctx,
+                                           std::move(eopts), &out.fingerprint));
   out.epoch = snap.epoch;
   out.horizon = snap.horizon;
-  out.fingerprint = UniverseFingerprint(*snap.db, *engine.last_temp_db());
-  if (options_.explain != obs::ExplainLevel::kOff) {
-    out.stats.report.mode = SystemModeName(mode);
-  }
-  uint64_t counted = rtt_counter.load(std::memory_order_relaxed);
-  if (eopts.parallel && out.stats.replayed > 0) {
-    counted = counted * out.stats.critical_path / out.stats.replayed;
-  }
-  out.stats.virtual_rtt_micros += counted;
   return out;
 }
 

@@ -140,8 +140,7 @@ class Ultraverse {
 
     /// Decision-provenance level for WhatIf() (DESIGN.md §13): kSummary
     /// records phase timings + verdict totals into ReplayStats::report;
-    /// kFull adds one TxnExplain per suffix transaction; kOff disables
-    /// report assembly entirely (bench ablation).
+    /// kFull adds one TxnExplain per suffix transaction.
     obs::ExplainLevel explain = obs::ExplainLevel::kSummary;
     /// Log indices forced into every replay plan (ground-truth knob for
     /// `fuzz_whatif --check-explain`; see RetroactiveEngine::Options).
@@ -311,6 +310,20 @@ class Ultraverse {
                                    const sql::LogEntry& entry,
                                    uint64_t commit_index,
                                    std::atomic<uint64_t>* rtt_counter);
+  /// One engine execution of `op` over `snap` against `db`, set up the way
+  /// both WhatIf() and WhatIfAnalyzeAt() need it: pruning granularities
+  /// and critical-path RTT by `mode`, the pinned history, the request's
+  /// cancel/retry, explain level and forced members, a scratch analyzer,
+  /// the app-code executor in B/D modes with its counted round trips
+  /// scaled to the critical path, and the system mode stamped on the
+  /// report. `eopts` brings what the callers do differently (publish,
+  /// locks, WAL, log rewrite, timeline cache, strategy). A non-null
+  /// `fingerprint` receives the alternate universe's fingerprint.
+  Result<ReplayStats> RunEngine(const HistorySnapshot& snap, sql::Database* db,
+                                const RetroOp& op, SystemMode mode,
+                                const RequestContext& ctx,
+                                RetroactiveEngine::Options eopts,
+                                std::string* fingerprint = nullptr);
   /// Catch-up of raw + canonicalized analysis and footprints to the log
   /// tail. Caller holds commit_mu_ exclusively. Incremental: entries
   /// already canonicalized are reused verbatim unless the analyzer's

@@ -282,9 +282,7 @@ std::string WhatIfReport::ToJson() const {
   out << ",\"target_index\":" << target_index << ",\"mode\":";
   AppendQuoted(&out, mode);
   out << ",\"level\":"
-      << (level == ExplainLevel::kOff
-              ? "\"off\""
-              : level == ExplainLevel::kSummary ? "\"summary\"" : "\"full\"");
+      << (level == ExplainLevel::kSummary ? "\"summary\"" : "\"full\"");
   out << ",\"suffix_size\":" << suffix_size << ",\"replayed\":" << replayed
       << ",\"skipped\":" << skipped;
   out << ",\"verdict_counts\":{";
@@ -373,9 +371,7 @@ std::optional<WhatIfReport> WhatIfReport::FromJson(const std::string& json) {
   r.target_index = root.U64("target_index");
   r.mode = root.Str("mode");
   std::string level = root.Str("level");
-  r.level = level == "off" ? ExplainLevel::kOff
-            : level == "full" ? ExplainLevel::kFull
-                              : ExplainLevel::kSummary;
+  r.level = level == "full" ? ExplainLevel::kFull : ExplainLevel::kSummary;
   r.suffix_size = root.U64("suffix_size");
   r.replayed = root.U64("replayed");
   r.skipped = root.U64("skipped");
@@ -488,8 +484,7 @@ std::string WhatIfReport::ToText(std::optional<uint64_t> txn_filter) const {
   out << '\n';
   if (!phases.empty()) {
     out << "phases:\n";
-    uint64_t wall_total = 0;
-    for (const auto& p : phases) wall_total += p.wall_us;
+    const uint64_t wall_total = WallMicros();
     for (const auto& p : phases) {
       double pct = wall_total ? 100.0 * double(p.wall_us) / double(wall_total)
                               : 0.0;

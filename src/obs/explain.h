@@ -18,12 +18,13 @@
 
 namespace ultraverse::obs {
 
-/// How much provenance a what-if analysis records.
-///  - kOff: nothing, not even the summary (bench ablation only).
-///  - kSummary: phase breakdown + layer counters; no per-txn vector. This is
-///    the always-on default; BM_ExplainOverhead pins its cost <2%.
+/// How much provenance a what-if analysis records. Every what-if records
+/// at least the summary: its phases are the engine's only timing channel.
+///  - kSummary: phase breakdown, verdict totals and layer counters; no
+///    per-txn vector. The default.
 ///  - kFull: everything, including one TxnExplain per suffix transaction.
-enum class ExplainLevel { kOff, kSummary, kFull };
+///    BM_ExplainOverhead measures its cost over kSummary.
+enum class ExplainLevel { kSummary, kFull };
 
 /// Why a suffix transaction was (not) replayed. Exactly one verdict per
 /// suffix position; new statements injected by the what-if op are reported
@@ -122,6 +123,8 @@ struct WhatIfReport {
   StrategyChoice strategy;
 
   // --- phase breakdown -----------------------------------------------------
+  /// Contiguous phases of one what-if, from one running clock: their wall
+  /// times add up to the what-if's wall time (WallMicros()).
   std::vector<PhaseBreakdown> phases;
 
   // --- staging footprint ---------------------------------------------------
@@ -149,6 +152,12 @@ struct WhatIfReport {
     return verdict_counts[size_t(v)];
   }
   void Tally(TxnVerdict v) { ++verdict_counts[size_t(v)]; }
+  /// Wall time of the whole what-if: the sum of its phases.
+  uint64_t WallMicros() const {
+    uint64_t total = 0;
+    for (const auto& p : phases) total += p.wall_us;
+    return total;
+  }
   const TxnExplain* FindTxn(uint64_t index) const;
 
   /// Serialization. ToJson() emits a single self-contained object;

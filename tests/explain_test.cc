@@ -283,14 +283,6 @@ TEST(ExplainReport, SummaryLevelSkipsTxnVector) {
   uint64_t total = 0;
   for (uint64_t n : stats.report.verdict_counts) total += n;
   EXPECT_EQ(total, stats.report.suffix_size);
-
-  config.explain = ExplainLevel::kOff;
-  auto u2 = Universe::Build(kVerdictHistory);
-  ASSERT_TRUE(u2.ok());
-  core::ReplayStats off;
-  ASSERT_TRUE((*u2)->RunSelective(RemoveOp(5), config, &off).ok());
-  EXPECT_EQ(off.report.suffix_size, 0u);
-  EXPECT_TRUE(off.report.phases.empty());
 }
 
 TEST(ExplainReport, TextRenderingAndDrillDown) {

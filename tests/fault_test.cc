@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -856,6 +857,63 @@ TEST_F(FaultTest, FacadeWalSurvivesCrashAndWhatIf) {
   sql::StateDiff diff =
       sql::DiffDatabases(*recovered->db, *uv.db(), "recovered", "whatif");
   EXPECT_TRUE(diff.equal()) << diff.ToString();
+  fs::remove(path);
+}
+
+TEST_F(FaultTest, FailedWalAppendLeavesTheCommitUnapplied) {
+  // A commit whose WAL append fails reports the error and must not stay
+  // applied: the live database, the in-memory log and the WAL all agree
+  // that it never happened, so restart recovery lands on the live state.
+  std::string path = TmpPath("wal_append_fail.wal");
+  fs::remove(path);
+  core::Ultraverse::Options options;
+  options.wal_path = path;
+  core::Ultraverse uv(options);
+  ASSERT_TRUE(uv.wal_status().ok()) << uv.wal_status().message();
+  for (const auto& stmt : BasicHistory()) {
+    ASSERT_TRUE(uv.ExecuteSql(stmt).ok()) << stmt;
+  }
+  ASSERT_TRUE(uv.LoadApplication(R"JS(
+function Deposit(owner, amount) {
+  SQL_exec("UPDATE accounts SET balance = balance + " + amount +
+           " WHERE owner = '" + owner + "'");
+}
+)JS")
+                  .ok());
+
+  const auto check = [&](const char* what, const std::function<Status()>& commit) {
+    SCOPED_TRACE(what);
+    const size_t size = uv.log()->size();
+    const uint64_t epoch = uv.log()->epoch();
+    const std::string before = uv.StateFingerprint();
+    FailpointConfig once;
+    once.max_fires = 1;
+    FailpointRegistry::Global().Arm("wal.append", once);
+    Status failed = commit();
+    EXPECT_EQ(failed.code(), StatusCode::kUnavailable) << failed.ToString();
+    EXPECT_EQ(uv.log()->size(), size);
+    EXPECT_EQ(uv.log()->epoch(), epoch);
+    EXPECT_EQ(uv.StateFingerprint(), before);
+
+    ASSERT_TRUE(commit().ok());
+    EXPECT_EQ(uv.log()->size(), size + 1);
+    auto recovered = RecoverState(path);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+    EXPECT_EQ(core::FingerprintDatabase(*recovered->db), uv.StateFingerprint());
+  };
+  check("ExecuteSql", [&] {
+    return uv
+        .ExecuteSql("INSERT INTO accounts (owner, balance) VALUES ('dan', 5)")
+        .status();
+  });
+  check("RunTransaction", [&] {
+    return uv
+        .RunTransaction("Deposit",
+                        {app::AppValue::String("alice"),
+                         app::AppValue::Number(7)},
+                        core::SystemMode::kT)
+        .status();
+  });
   fs::remove(path);
 }
 

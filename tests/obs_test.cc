@@ -530,8 +530,8 @@ TEST(ObsPipelineTest, WhatIfTraceCoversThePipeline) {
   std::remove(path.c_str());
 
   for (const char* required :
-       {"whatif", "replay.execute", "replay.analysis", "replay.rollback",
-        "replay.replay", "replay.slot", "depgraph.plan",
+       {"whatif", "replay.execute", "replay.plan", "replay.stage",
+        "replay.replay", "replay.publish", "replay.slot", "depgraph.plan",
         "staging.clone_tables", "staging.rollback", "hashjumper.probe"}) {
     EXPECT_TRUE(names.count(required)) << "missing span: " << required;
   }

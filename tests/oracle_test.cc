@@ -10,6 +10,8 @@
 #include "core/dep_graph.h"
 #include "core/replay.h"
 #include "core/ultraverse.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "oracle/fuzzer.h"
 #include "oracle/oracle.h"
 #include "sqldb/parser.h"
@@ -721,6 +723,65 @@ TEST(StrategyTest, WholeSuffixHistoryAgreesAcrossStrategies) {
     EXPECT_EQ(phases[0].name, "plan");
     EXPECT_EQ(phases[1].name, "stage");
     EXPECT_EQ(phases[2].name, "replay");
+  }
+}
+
+TEST(StrategyTest, OneClockTimesEveryPhaseOfBothStrategies) {
+  // The report's phases are a what-if's only timing: each one has exactly
+  // one trace span and one histogram sample of the same wall time, and
+  // the total sample is their sum, on both strategies.
+  WhatIfCase c = Case(ChainHistory(600), RetroOp::Kind::kRemove, 4);
+  const std::vector<std::string> expected = {"plan", "stage", "replay",
+                                             "publish"};
+  for (auto [mode, kind] : {std::pair{core::ReplayMode::kSelective,
+                                      std::string("selective")},
+                            std::pair{core::ReplayMode::kAuto,
+                                      std::string("naive")}}) {
+    SCOPED_TRACE(kind);
+    auto u = Universe::Build(c.history);
+    ASSERT_TRUE(u.ok()) << u.status().ToString();
+    ModeConfig config;
+    config.mode = mode;
+    const obs::Snapshot before = obs::Registry::Global().Collect();
+    obs::Tracer::Global().Clear();
+    obs::Tracer::Global().Enable();
+    core::ReplayStats stats;
+    Status st = (*u)->RunSelective(CaseOp(c), config, &stats);
+    obs::Tracer::Global().Disable();
+    const std::string trace = obs::Tracer::Global().DumpJson();
+    obs::Tracer::Global().Clear();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(stats.report.strategy.kind, kind);
+
+    std::vector<std::string> names;
+    for (const auto& p : stats.report.phases) names.push_back(p.name);
+    ASSERT_EQ(names, expected);
+    // Histogram growth between the two snapshots; stats.obs is collected
+    // after the recorder finished.
+    auto delta = [&](const std::string& name) {
+      const obs::HistogramSnapshot* a = before.FindHistogram(name);
+      const obs::HistogramSnapshot* b = stats.obs.FindHistogram(name);
+      EXPECT_NE(b, nullptr) << name;
+      if (b == nullptr) return std::pair<uint64_t, uint64_t>{0, 0};
+      return std::pair<uint64_t, uint64_t>{
+          b->count - (a ? a->count : 0), b->sum_us - (a ? a->sum_us : 0)};
+    };
+    for (const auto& p : stats.report.phases) {
+      const auto [count, sum] = delta("uv.replay.phase." + p.name + "_us");
+      EXPECT_EQ(count, 1u) << p.name;
+      EXPECT_EQ(sum, p.wall_us) << p.name;
+      const std::string begin =
+          "{\"name\":\"replay." + p.name + "\",\"cat\":\"uv\",\"ph\":\"B\"";
+      size_t spans = 0;
+      for (size_t at = trace.find(begin); at != std::string::npos;
+           at = trace.find(begin, at + 1)) {
+        ++spans;
+      }
+      EXPECT_EQ(spans, 1u) << p.name;
+    }
+    const auto [count, sum] = delta("uv.replay.phase.total_us");
+    EXPECT_EQ(count, 1u);
+    EXPECT_EQ(sum, stats.report.WallMicros());
   }
 }
 
