@@ -237,41 +237,57 @@ void BM_ObsScopedLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsScopedLatency)->Arg(0)->Arg(1);
 
+// Commits the 200-transaction epinions history into `uv`, pins it in one
+// snapshot and sets `op` to the remove of its retro target; nullptr after
+// SkipWithError. The what-if benches below run analyze-only on that
+// snapshot: a publishing WhatIf rewrites the history, so the target would
+// move (and run out) across iterations.
+std::shared_ptr<const core::HistorySnapshot> PinEpinionsHistory(
+    core::Ultraverse* uv, benchmark::State& state, core::RetroOp* op) {
+  workload::RawHistory h = workload::MakeRawHistory("epinions", 200, 0.5, 11);
+  for (const auto& ddl : h.schema_sql) {
+    if (!uv->ExecuteSql(ddl).ok()) {
+      state.SkipWithError("schema setup failed");
+      return nullptr;
+    }
+  }
+  for (const auto& q : h.queries) {
+    if (!uv->ExecuteSql(q).ok()) {
+      state.SkipWithError("history setup failed");
+      return nullptr;
+    }
+  }
+  auto snap = uv->SnapshotHistory();
+  if (!snap.ok()) {
+    state.SkipWithError("snapshot failed");
+    return nullptr;
+  }
+  op->kind = core::RetroOp::Kind::kRemove;
+  op->index = uint64_t(h.schema_sql.size()) + h.retro_index;
+  return *snap;
+}
+
 // End-to-end instrumentation overhead: the same retroactive what-if with
 // the obs subsystem fully off (Arg 0) vs tracing + latency timing on
 // (Arg 1). The constraint is <5% regression with obs disabled; the Arg(1)
 // row bounds the cost users opt into with ULTRA_TRACE/--trace-out.
 void BM_WhatIfReplayObs(benchmark::State& state) {
   const bool obs_on = state.range(0) != 0;
-  workload::RawHistory h = workload::MakeRawHistory("epinions", 200, 0.5, 11);
   core::Ultraverse uv;
-  for (const auto& ddl : h.schema_sql) {
-    if (!uv.ExecuteSql(ddl).ok()) {
-      state.SkipWithError("schema setup failed");
-      return;
-    }
-  }
-  for (const auto& q : h.queries) {
-    if (!uv.ExecuteSql(q).ok()) {
-      state.SkipWithError("history setup failed");
-      return;
-    }
-  }
-  uint64_t target = uint64_t(h.schema_sql.size()) + h.retro_index;
+  core::RetroOp op;
+  auto snap = PinEpinionsHistory(&uv, state, &op);
+  if (!snap) return;
   if (obs_on) {
     obs::SetTiming(true);
     obs::Tracer::Global().Enable();
   }
   for (auto _ : state) {
-    core::RetroOp op;
-    op.kind = core::RetroOp::Kind::kRemove;
-    op.index = target;
-    auto stats = uv.WhatIf(op, core::SystemMode::kTD);
-    if (!stats.ok()) {
+    auto result = uv.WhatIfAnalyzeAt(*snap, op, core::SystemMode::kTD);
+    if (!result.ok()) {
       state.SkipWithError("what-if failed");
       break;
     }
-    benchmark::DoNotOptimize(stats->replayed);
+    benchmark::DoNotOptimize(result->stats.replayed);
   }
   if (obs_on) {
     obs::SetTiming(false);
@@ -289,35 +305,15 @@ BENCHMARK(BM_WhatIfReplayObs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // the measured delta.
 void BM_ExplainOverhead(benchmark::State& state) {
   const bool full = state.range(0) != 0;
-  workload::RawHistory h = workload::MakeRawHistory("epinions", 200, 0.5, 11);
   core::Ultraverse::Options uv_opts;
   uv_opts.explain =
       full ? obs::ExplainLevel::kFull : obs::ExplainLevel::kSummary;
   core::Ultraverse uv(uv_opts);
-  for (const auto& ddl : h.schema_sql) {
-    if (!uv.ExecuteSql(ddl).ok()) {
-      state.SkipWithError("schema setup failed");
-      return;
-    }
-  }
-  for (const auto& q : h.queries) {
-    if (!uv.ExecuteSql(q).ok()) {
-      state.SkipWithError("history setup failed");
-      return;
-    }
-  }
-  // Analyze-only on one pinned snapshot: a publishing WhatIf rewrites the
-  // history, so the target would move (and run out) across iterations.
-  auto snap = uv.SnapshotHistory();
-  if (!snap.ok()) {
-    state.SkipWithError("snapshot failed");
-    return;
-  }
   core::RetroOp op;
-  op.kind = core::RetroOp::Kind::kRemove;
-  op.index = uint64_t(h.schema_sql.size()) + h.retro_index;
+  auto snap = PinEpinionsHistory(&uv, state, &op);
+  if (!snap) return;
   for (auto _ : state) {
-    auto result = uv.WhatIfAnalyzeAt(**snap, op, core::SystemMode::kTD);
+    auto result = uv.WhatIfAnalyzeAt(*snap, op, core::SystemMode::kTD);
     if (!result.ok()) {
       state.SkipWithError("what-if failed");
       break;
@@ -393,13 +389,13 @@ void BM_ReplayPlanPrefilter(benchmark::State& state) {
 BENCHMARK(BM_ReplayPlanPrefilter)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
-// --- Predicate-region tier (DESIGN.md §15) ----------------------------------
-// Replay-plan cost and size with and without the predicate pre-filter on a
-// range-keyed single-table history: every statement writes one 10-key
-// window [10w, 10w+10), so classic row-wise analysis sees nothing but
-// wildcards (every statement replays) while the predicate tier proves all
-// windows but the target's disjoint. The plan_size counter records what
-// the tier buys; EXPERIMENTS.md tracks both rows.
+// --- Predicate-region veto (DESIGN.md §15) ----------------------------------
+// Replay-plan cost and size with and without the row-region veto
+// (row_wise) on a range-keyed single-table history: every statement writes
+// one 10-key window [10w, 10w+10), so the column rules (and classic RI
+// values, which see only wildcards) replay every statement, while the
+// veto proves all windows but the target's disjoint. The plan_size
+// counter records what the veto buys; EXPERIMENTS.md tracks both rows.
 
 struct PredicateBenchFixture {
   std::vector<core::QueryRW> analysis;
@@ -439,7 +435,7 @@ void BM_PredicatePrefilter(benchmark::State& state) {
   static const PredicateBenchFixture& fx =
       *new PredicateBenchFixture(BuildPredicateBenchFixture(256, 4096));
   core::DependencyOptions options;
-  options.predicate_filter = tier_on;
+  options.row_wise = tier_on;
   size_t plan_size = 0;
   for (auto _ : state) {
     core::ReplayPlan plan = core::ComputeReplayPlan(
@@ -457,12 +453,10 @@ BENCHMARK(BM_PredicatePrefilter)->Arg(0)->Arg(1)
 // Plan-size comparison on the bundled equality-keyed workload histories
 // (TATP: subscriber-keyed point writes; Epinions: user/item-keyed): how
 // many of the raw history's commits survive into the replay plan with the
-// predicate tier off (Arg 1 = 0) vs on (Arg 1 = 1). Both configurations
-// run the column-only pre-filter (row_wise off) — that is the comparison
-// the tier exists for: at row granularity the classic RowSet refutation
-// already separates point-keyed commits, but the column pass has no row
-// power without regions. Time measures plan computation only; plan_size
-// is the headline number.
+// row-region veto off (Arg 1 = 0, column-only) vs on (Arg 1 = 1, T+D). The
+// planner is one column-closure pass either way: it has no row power
+// without the veto. Time measures plan computation only; plan_size is the
+// headline number.
 void BM_PredicatePlanSizeWorkload(benchmark::State& state) {
   static const char* kNames[] = {"tatp", "epinions"};
   const char* name = kNames[state.range(0)];
@@ -505,8 +499,7 @@ void BM_PredicatePlanSizeWorkload(benchmark::State& state) {
   const PredicateBenchFixture& fx = cache[name].fx;
   const uint64_t target_index = cache[name].target_index;
   core::DependencyOptions options;
-  options.row_wise = false;
-  options.predicate_filter = tier_on;
+  options.row_wise = tier_on;
   size_t plan_size = 0;
   for (auto _ : state) {
     core::ReplayPlan plan = core::ComputeReplayPlan(

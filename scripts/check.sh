@@ -26,10 +26,12 @@
 #    server process over the framed TCP protocol with a mid-run SIGTERM
 #    drain and WAL-recovery fingerprint check, and a ~30-second wire
 #    crash sweep (fuzz_whatif --server-crash) arming failpoints on every
-#    wire-path edge (DESIGN.md §16), and the what-if benchmark's
-#    exact-repeat counts check (whatifbench/test_counts_repeat.py), which
-#    also proves whatifbench/whatif_bench.cc still compiles against the
-#    engine.
+#    wire-path edge (DESIGN.md §16), a short bench_micro run of the
+#    what-if and planner micro benches that fails on any "ERROR
+#    OCCURRED" (a bench whose loop fails still exits 0), and the what-if
+#    benchmark's exact-repeat counts check
+#    (whatifbench/test_counts_repeat.py), which also proves
+#    whatifbench/whatif_bench.cc still compiles against the engine.
 # 2. asan  — AddressSanitizer build running the observability + oracle +
 #    fault + vm + explain + mvcc + server labels (the suites that exercise
 #    replay/staging over shared CoW snapshots, WAL recovery,
@@ -103,6 +105,15 @@ run_plain() {
   # response); recovery must stay divergence-free through all of it.
   (cd "$SWEEP_DIR" && \
     "$ROOT"/build/tools/fuzz_whatif --server-crash --seed 1 --fuzz-seconds 30)
+  echo "== plain: micro-bench smoke (no ERROR OCCURRED) =="
+  MICRO_OUT="$(cd "$SWEEP_DIR" && "$ROOT"/build/bench/bench_micro \
+    --benchmark_filter='BM_WhatIfReplayObs|BM_ExplainOverhead|BM_Predicate|BM_ReplayPlanPrefilter' \
+    --benchmark_min_time=0.2 2>&1)"
+  echo "$MICRO_OUT"
+  if grep -q "ERROR OCCURRED" <<<"$MICRO_OUT"; then
+    echo "bench_micro: a benchmark reported ERROR OCCURRED" >&2
+    exit 1
+  fi
   rm -rf "$SWEEP_DIR"
 }
 

@@ -1,7 +1,6 @@
 #include "core/dep_graph.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -15,27 +14,10 @@ namespace ultraverse::core {
 
 namespace {
 
-/// Generic single-granularity replay-set computation (Theorems 11 & 19):
-/// one ascending pass maintaining the accumulated writes (rule-1
-/// dependencies, transitive because members join the accumulator) and
-/// accumulated reads (Props. 9/10: later writers to a read cell replay so
-/// consulted tables evolve correctly).
-/// Per-granularity exclusion cause, recorded (when requested) at the exact
-/// position of each skip/join decision in the ascending pass below.
-enum class Cause : uint8_t {
-  kMember,
-  kTargetSlot,
-  kReadOnly,
-  kStatic,
-  kPredicate,
-  kNoRule,
-};
-
-/// Predicate-veto state (DESIGN.md §15): row sets of the target + joined
-/// members, compared through their typed predicate regions when a classic
-/// dependency rule fires. Kept separately from the granularity
-/// accumulators so the *column* pass gets the same row-level refutation
-/// power as the row pass.
+/// Row-region veto state (DESIGN.md §15): row sets of the target + joined
+/// members, compared through their typed predicate regions when a column
+/// dependency rule fires. This is what gives the column closure row-level
+/// pruning power.
 struct RegionAccumulators {
   RowSet w, r, ow;
 
@@ -79,153 +61,6 @@ struct RegionAccumulators {
   }
 };
 
-template <typename Sets>
-std::set<uint64_t> ClosureOneGranularity(
-    const std::vector<QueryRW>& analysis, uint64_t target_index,
-    const QueryRW& target_rw, bool target_occupies_slot, Sets sets,
-    const std::vector<TableFootprint>* static_footprints,
-    bool predicate_filter = false, const std::set<uint64_t>* forced = nullptr,
-    std::vector<Cause>* causes = nullptr,
-    std::vector<std::string>* details = nullptr,
-    const std::function<bool(size_t, size_t)>* checkpoint = nullptr,
-    bool* abandoned = nullptr) {
-  auto acc_w = sets.Writes(target_rw);  // by value: accumulators
-  auto acc_r = sets.Reads(target_rw);
-  // Accumulated *dynamic* table footprint of target + joined members. A
-  // candidate whose static footprint (⊇ its dynamic footprint) is disjoint
-  // from it shares no table — hence no "T.col"/"_S.T" cell — with any
-  // accumulator, so every closure rule below is trivially false.
-  TableFootprint acc_fp = FootprintOf(target_rw);
-  // Overwriting-write accumulator: the subset of acc_w written by queries
-  // that can clobber *pre-existing* cells (UPDATE/DELETE/DDL — see
-  // QueryRW::overwrites). Used by the write-write rule below.
-  std::decay_t<decltype(sets.Writes(target_rw))> acc_ow;
-  if (target_rw.overwrites) acc_ow = sets.Writes(target_rw);
-  std::optional<RegionAccumulators> regions;
-  if (predicate_filter) regions.emplace(target_rw);
-
-  std::set<uint64_t> members;
-  if (causes) {
-    causes->assign(analysis.size() + 1 - target_index, Cause::kNoRule);
-  }
-  if (details) {
-    details->assign(analysis.size() + 1 - target_index, std::string());
-  }
-  auto record = [&](uint64_t idx, Cause c) {
-    if (causes) (*causes)[idx - target_index] = c;
-  };
-  size_t next_checkpoint = kFirstStrategyCheckpoint;
-  for (uint64_t idx = target_index; idx <= analysis.size(); ++idx) {
-    // Strategy checkpoints (DependencyOptions::checkpoint): the pass is a
-    // forward scan, so members / scanned is known exactly here.
-    const size_t scanned = size_t(idx - target_index);
-    if (checkpoint && scanned == next_checkpoint) {
-      next_checkpoint *= 2;
-      if ((*checkpoint)(scanned, members.size())) {
-        *abandoned = true;
-        return members;
-      }
-    }
-    // For remove/change the target *is* log[target_index]; it is seeded
-    // into the accumulators above and must not re-join as a member. For
-    // add, the new query slots in *before* log[target_index]: that commit
-    // is an ordinary suffix statement and must be dependency-checked like
-    // any other. (An earlier revision skipped it unconditionally, so a
-    // retroactively added statement never saw the original commit at its
-    // own insertion index replay — the differential oracle caught the
-    // resulting divergences; see DESIGN.md §9.)
-    if (target_occupies_slot && idx == target_index) {
-      record(idx, Cause::kTargetSlot);
-      continue;
-    }
-    const QueryRW& rw = analysis[idx - 1];
-    if (forced && forced->count(idx)) {
-      // Seeded member (counterfactual forced replay): joins without a
-      // rule firing, and its sets feed the accumulators so every later
-      // writer of its cells joins through the ordinary rules below.
-      record(idx, Cause::kMember);
-      members.insert(idx);
-      sets.MergeInto(&acc_w, sets.Writes(rw));
-      sets.MergeInto(&acc_r, sets.Reads(rw));
-      if (rw.overwrites) sets.MergeInto(&acc_ow, sets.Writes(rw));
-      if (static_footprints) acc_fp.Merge(FootprintOf(rw));
-      if (regions) regions->Join(rw);
-      continue;
-    }
-    if (sets.WriteEmpty(rw)) {
-      record(idx, Cause::kReadOnly);
-      continue;  // read-only queries never replay
-    }
-    if (static_footprints && idx - 1 < static_footprints->size() &&
-        !(*static_footprints)[idx - 1].Intersects(acc_fp)) {
-      record(idx, Cause::kStatic);
-      continue;  // statically disjoint: no rule can fire
-    }
-    bool rule1 = sets.Intersect(sets.Reads(rw), acc_w);
-    bool read_then_write = sets.Intersect(sets.Writes(rw), acc_r);
-    // Write-write: values must land in rewritten-history order, exactly as
-    // the conflict DAG orders WW edges. Two directions (both
-    // differential-oracle finds, DESIGN.md §9):
-    //  - An *overwriting* writer (UPDATE/DELETE/DDL, directly or through a
-    //    trigger/procedure body) whose writes touch anything the
-    //    target/members wrote must replay, or a retroactively added
-    //    INSERT keeps its values on cells the later blind overwrite
-    //    should clobber.
-    //  - A pure row-creating writer (INSERT) must replay only when its
-    //    cells intersect the accumulated *overwriting* writes: its staged
-    //    rows do not exist yet at the point the earlier overwrite replays,
-    //    so leaving it in place lets that overwrite corrupt them.
-    // INSERT-vs-INSERT intersections are exempt: fresh rows cannot clobber
-    // each other, and joining them would drag unrelated row-creating
-    // history into every replay of a table without an RI column (where
-    // all row info is wildcard).
-    bool write_write =
-        sets.Intersect(sets.Writes(rw), rw.overwrites ? acc_w : acc_ow);
-    if (rule1 || read_then_write || write_write) {
-      // Predicate-region veto (DESIGN.md §15): a rule fired on this
-      // granularity's sets, but if the typed row regions are provably
-      // disjoint from every rule shape the collision is spurious — no
-      // replay universe makes these statements touch a shared row. Running
-      // the veto *after* the classic rules keeps provenance honest:
-      // kPredicate means "columns/rows collided and only the regions
-      // refuted it", never "trivially disjoint anyway".
-      if (regions && !regions->CouldDepend(rw)) {
-        record(idx, Cause::kPredicate);
-        if (details) (*details)[idx - target_index] = regions->Describe(rw);
-        continue;
-      }
-      record(idx, Cause::kMember);
-      members.insert(idx);
-      sets.MergeInto(&acc_w, sets.Writes(rw));
-      sets.MergeInto(&acc_r, sets.Reads(rw));
-      if (rw.overwrites) sets.MergeInto(&acc_ow, sets.Writes(rw));
-      if (static_footprints) acc_fp.Merge(FootprintOf(rw));
-      if (regions) regions->Join(rw);
-    }
-  }
-  return members;
-}
-
-struct ColumnGranularity {
-  const ColumnSet& Reads(const QueryRW& rw) const { return rw.rc; }
-  const ColumnSet& Writes(const QueryRW& rw) const { return rw.wc; }
-  bool WriteEmpty(const QueryRW& rw) const { return rw.wc.empty(); }
-  bool Intersect(const ColumnSet& a, const ColumnSet& b) const {
-    return a.Intersects(b);
-  }
-  void MergeInto(ColumnSet* acc, const ColumnSet& s) const { acc->Merge(s); }
-};
-
-struct RowGranularity {
-  const RowSet& Reads(const QueryRW& rw) const { return rw.rr; }
-  const RowSet& Writes(const QueryRW& rw) const { return rw.wr; }
-  bool WriteEmpty(const QueryRW& rw) const { return rw.wr.empty(); }
-  bool Intersect(const RowSet& a, const RowSet& b) const {
-    return a.Intersects(b);
-  }
-  void MergeInto(RowSet* acc, const RowSet& s) const { acc->Merge(s); }
-};
-
 }  // namespace
 
 ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
@@ -238,111 +73,144 @@ ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
   obs::TraceSpan span("depgraph.plan",
                       {{"history", analysis.size()}, {"target", target_index}});
   ReplayPlan plan;
-
-  std::set<uint64_t> members;
-  const size_t suffix = analysis.size() + 1 >= target_index
-                            ? analysis.size() + 1 - target_index
-                            : 0;
-  std::vector<Cause> col_causes, row_causes;
-  std::vector<std::string> col_details, row_details;
-  std::vector<Cause>* col_rec =
-      options.record_exclusions ? &col_causes : nullptr;
-  std::vector<Cause>* row_rec =
-      options.record_exclusions ? &row_causes : nullptr;
-  std::vector<std::string>* col_det =
-      options.record_exclusions ? &col_details : nullptr;
-  std::vector<std::string>* row_det =
-      options.record_exclusions ? &row_details : nullptr;
-  const std::function<bool(size_t, size_t)>* checkpoint =
-      options.checkpoint ? &options.checkpoint : nullptr;
-  if (options.column_wise && options.row_wise) {
-    // Theorem 20: 𝕀 = 𝕀_c ∩ 𝕀_r.
-    std::set<uint64_t> col = ClosureOneGranularity(
-        analysis, target_index, target_rw, target_occupies_slot,
-        ColumnGranularity{}, options.static_footprints,
-        options.predicate_filter, options.forced_members, col_rec, col_det,
-        checkpoint, &plan.abandoned);
-    if (plan.abandoned) return plan;  // nothing else is filled yet
-    std::set<uint64_t> row = ClosureOneGranularity(
-        analysis, target_index, target_rw, target_occupies_slot,
-        RowGranularity{}, options.static_footprints, options.predicate_filter,
-        options.forced_members, row_rec, row_det);
-    for (uint64_t idx : col) {
-      if (row.count(idx)) members.insert(idx);
+  if (options.record_exclusions) {
+    const size_t suffix = analysis.size() + 1 >= target_index
+                              ? analysis.size() + 1 - target_index
+                              : 0;
+    plan.exclusions_base = target_index;
+    plan.exclusions.assign(suffix, PlanExclusion::kColumnDisjoint);
+    plan.cluster_ids.assign(suffix, -1);
+  }
+  auto record = [&](uint64_t idx, PlanExclusion e) {
+    if (options.record_exclusions) plan.exclusions[idx - target_index] = e;
+  };
+  // Members join in ascending order; a member's cluster id is its ordinal.
+  auto join = [&](uint64_t idx) {
+    if (options.record_exclusions) {
+      plan.exclusions[idx - target_index] = PlanExclusion::kMember;
+      plan.cluster_ids[idx - target_index] =
+          int32_t(plan.replay_indices.size());
     }
-  } else if (options.column_wise) {
-    members = ClosureOneGranularity(
-        analysis, target_index, target_rw, target_occupies_slot,
-        ColumnGranularity{}, options.static_footprints,
-        options.predicate_filter, options.forced_members, col_rec, col_det,
-        checkpoint, &plan.abandoned);
-    if (plan.abandoned) return plan;  // nothing else is filled yet
-  } else {
+    plan.replay_indices.push_back(idx);
+  };
+
+  if (!options.column_wise) {
     // No dependency analysis: replay the whole suffix (baseline behaviour).
-    // Same slot-occupancy rule as above: for add, log[target_index] is part
+    // Same slot-occupancy rule as below: for add, log[target_index] is part
     // of the suffix and replays after the inserted query.
     for (uint64_t idx = target_index; idx <= analysis.size(); ++idx) {
-      if (target_occupies_slot && idx == target_index) continue;
-      members.insert(idx);
+      if (target_occupies_slot && idx == target_index) {
+        record(idx, PlanExclusion::kTargetSlot);
+      } else {
+        join(idx);
+      }
     }
-  }
+  } else {
+    // One ascending pass maintaining the accumulated writes (rule-1
+    // dependencies, transitive because members join the accumulator) and
+    // accumulated reads (Props. 9/10: later writers to a read cell replay
+    // so consulted tables evolve correctly).
+    ColumnSet acc_w = target_rw.wc;
+    ColumnSet acc_r = target_rw.rc;
+    // Overwriting-write accumulator: the subset of acc_w written by queries
+    // that can clobber *pre-existing* cells (UPDATE/DELETE/DDL — see
+    // QueryRW::overwrites). Used by the write-write rule below.
+    ColumnSet acc_ow;
+    if (target_rw.overwrites) acc_ow = target_rw.wc;
+    // Accumulated *dynamic* table footprint of target + joined members. A
+    // candidate whose static footprint (⊇ its dynamic footprint) is
+    // disjoint from it shares no table — hence no "T.col"/"_S.T" cell —
+    // with any accumulator, so every closure rule below is trivially false.
+    const std::vector<TableFootprint>* static_footprints =
+        options.static_footprints;
+    TableFootprint acc_fp = FootprintOf(target_rw);
+    std::optional<RegionAccumulators> regions;
+    if (options.row_wise) regions.emplace(target_rw);
+    auto accumulate = [&](uint64_t idx, const QueryRW& rw) {
+      join(idx);
+      acc_w.Merge(rw.wc);
+      acc_r.Merge(rw.rc);
+      if (rw.overwrites) acc_ow.Merge(rw.wc);
+      if (static_footprints) acc_fp.Merge(FootprintOf(rw));
+      if (regions) regions->Join(rw);
+    };
 
-  plan.replay_indices.assign(members.begin(), members.end());
-
-  if (options.record_exclusions) {
-    // Merge the per-granularity causes into one verdict per suffix
-    // position. Column causes dominate; a column member the row closure
-    // rejected is the Theorem-20 intersection pruning it.
-    plan.exclusions_base = target_index;
-    plan.exclusions.assign(suffix, PlanExclusion::kMember);
-    plan.cluster_ids.assign(suffix, -1);
-    plan.exclusion_detail.assign(suffix, std::string());
-    int32_t next_cluster = 0;
-    for (size_t j = 0; j < suffix; ++j) {
-      uint64_t idx = target_index + j;
-      if (col_causes.empty()) {
-        // Baseline full-suffix plan: everything but the target slot replays.
-        plan.exclusions[j] = members.count(idx) ? PlanExclusion::kMember
-                                                : PlanExclusion::kTargetSlot;
-        if (members.count(idx)) plan.cluster_ids[j] = next_cluster++;
+    size_t next_checkpoint = kFirstStrategyCheckpoint;
+    for (uint64_t idx = target_index; idx <= analysis.size(); ++idx) {
+      // Strategy checkpoints (DependencyOptions::checkpoint): the pass is a
+      // forward scan, so members / scanned is known exactly here.
+      const size_t scanned = size_t(idx - target_index);
+      if (options.checkpoint && scanned == next_checkpoint) {
+        next_checkpoint *= 2;
+        if (options.checkpoint(scanned, plan.replay_indices.size())) {
+          ReplayPlan abandoned;
+          abandoned.abandoned = true;
+          return abandoned;
+        }
+      }
+      // For remove/change the target *is* log[target_index]; it is seeded
+      // into the accumulators above and must not re-join as a member. For
+      // add, the new query slots in *before* log[target_index]: that commit
+      // is an ordinary suffix statement and must be dependency-checked like
+      // any other. (An earlier revision skipped it unconditionally, so a
+      // retroactively added statement never saw the original commit at its
+      // own insertion index replay — the differential oracle caught the
+      // resulting divergences; see DESIGN.md §9.)
+      if (target_occupies_slot && idx == target_index) {
+        record(idx, PlanExclusion::kTargetSlot);
         continue;
       }
-      switch (col_causes[j]) {
-        case Cause::kTargetSlot:
-          plan.exclusions[j] = PlanExclusion::kTargetSlot;
-          break;
-        case Cause::kReadOnly:
-          plan.exclusions[j] = PlanExclusion::kReadOnly;
-          break;
-        case Cause::kStatic:
-          plan.exclusions[j] = PlanExclusion::kStaticDisjoint;
-          break;
-        case Cause::kPredicate:
-          plan.exclusions[j] = PlanExclusion::kPredicateDisjoint;
-          if (j < col_details.size()) {
-            plan.exclusion_detail[j] = col_details[j];
-          }
-          break;
-        case Cause::kNoRule:
-          plan.exclusions[j] = PlanExclusion::kColumnDisjoint;
-          break;
-        case Cause::kMember:
-          plan.cluster_ids[j] = next_cluster++;
-          if (members.count(idx)) {
-            plan.exclusions[j] = PlanExclusion::kMember;
-          } else if (j < row_causes.size() &&
-                     row_causes[j] == Cause::kPredicate) {
-            // Column member pruned by the *row* pass's predicate tier:
-            // surface the stronger, evidence-carrying verdict.
-            plan.exclusions[j] = PlanExclusion::kPredicateDisjoint;
-            if (j < row_details.size()) {
-              plan.exclusion_detail[j] = row_details[j];
-            }
-          } else {
-            plan.exclusions[j] = PlanExclusion::kClusterExcluded;
-          }
-          break;
+      const QueryRW& rw = analysis[idx - 1];
+      if (options.forced_members && options.forced_members->count(idx)) {
+        // Seeded member (counterfactual forced replay): joins without a
+        // rule firing, and its sets feed the accumulators so every later
+        // writer of its cells joins through the ordinary rules below.
+        accumulate(idx, rw);
+        continue;
       }
+      if (rw.wc.empty()) {
+        record(idx, PlanExclusion::kReadOnly);
+        continue;  // read-only queries never replay
+      }
+      if (static_footprints && idx - 1 < static_footprints->size() &&
+          !(*static_footprints)[idx - 1].Intersects(acc_fp)) {
+        record(idx, PlanExclusion::kStaticDisjoint);
+        continue;  // statically disjoint: no rule can fire
+      }
+      const bool rule1 = rw.rc.Intersects(acc_w);
+      const bool read_then_write = rw.wc.Intersects(acc_r);
+      // Write-write: values must land in rewritten-history order, exactly
+      // as the conflict DAG orders WW edges. Two directions (both
+      // differential-oracle finds, DESIGN.md §9):
+      //  - An *overwriting* writer (UPDATE/DELETE/DDL, directly or through
+      //    a trigger/procedure body) whose writes touch anything the
+      //    target/members wrote must replay, or a retroactively added
+      //    INSERT keeps its values on cells the later blind overwrite
+      //    should clobber.
+      //  - A pure row-creating writer (INSERT) must replay only when its
+      //    cells intersect the accumulated *overwriting* writes: its
+      //    staged rows do not exist yet at the point the earlier overwrite
+      //    replays, so leaving it in place lets that overwrite corrupt
+      //    them.
+      // INSERT-vs-INSERT intersections are exempt: fresh rows cannot
+      // clobber each other, and joining them would drag unrelated
+      // row-creating history into every replay of a table without an RI
+      // column (where all row info is wildcard).
+      const bool write_write =
+          rw.wc.Intersects(rw.overwrites ? acc_w : acc_ow);
+      if (!rule1 && !read_then_write && !write_write) continue;
+      // Row-region veto (DESIGN.md §15): a column rule fired, but if the
+      // typed row regions are provably disjoint from every rule shape the
+      // collision is spurious — no replay universe makes these statements
+      // touch a shared row. Running the veto *after* the column rules
+      // keeps provenance honest: kPredicateDisjoint means "columns
+      // collided and only the regions refuted it", never "trivially
+      // disjoint anyway".
+      if (regions && !regions->CouldDepend(rw)) {
+        record(idx, PlanExclusion::kPredicateDisjoint);
+        continue;
+      }
+      accumulate(idx, rw);
     }
   }
 
@@ -359,6 +227,22 @@ ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
       obs::Registry::Global().counter("uv.depgraph.plan.members");
   plan_members->Add(plan.replay_indices.size());
   return plan;
+}
+
+std::vector<std::string> PredicateEvidence(
+    const std::vector<QueryRW>& analysis, const QueryRW& target_rw,
+    const ReplayPlan& plan) {
+  std::vector<std::string> evidence(plan.exclusions.size());
+  RegionAccumulators regions(target_rw);
+  for (size_t j = 0; j < plan.exclusions.size(); ++j) {
+    const QueryRW& rw = analysis[plan.exclusions_base + j - 1];
+    if (plan.exclusions[j] == PlanExclusion::kMember) {
+      regions.Join(rw);
+    } else if (plan.exclusions[j] == PlanExclusion::kPredicateDisjoint) {
+      evidence[j] = regions.Describe(rw);
+    }
+  }
+  return evidence;
 }
 
 namespace {

@@ -13,7 +13,9 @@ namespace ultraverse::core {
 
 /// Which granularities participate in dependency pruning. T+D uses both
 /// (Theorem 20: replay 𝕀_c ∩ 𝕀_r); the column-only configuration is the
-/// ablation of §4.2 without §4.3.
+/// ablation of §4.2 without §4.3. Both run as one column-closure pass:
+/// `row_wise` adds the row-region veto that makes it 𝕀_c ∩ 𝕀_r (see
+/// ComputeReplayPlan).
 struct DependencyOptions {
   bool column_wise = true;
   bool row_wise = true;
@@ -23,20 +25,9 @@ struct DependencyOptions {
   /// (static summary ⊇ dynamic sets, so static footprint ⊇ dynamic
   /// footprint). During closure computation a candidate whose *static*
   /// footprint is disjoint from the accumulated member footprint cannot
-  /// satisfy any closure rule, so its ColumnSet/RowSet intersections are
-  /// skipped outright. nullptr disables the pre-filter.
+  /// satisfy any closure rule, so its ColumnSet intersections are skipped
+  /// outright. nullptr disables the pre-filter.
   const std::vector<TableFootprint>* static_footprints = nullptr;
-
-  /// Third pre-filter tier (DESIGN.md §15), after the table-footprint
-  /// filter above: a candidate whose symbolic predicate regions are
-  /// provably disjoint from the accumulated members' regions — reads vs
-  /// accumulated writes, writes vs accumulated reads, writes vs
-  /// accumulated (overwriting) writes — touches no member row in any
-  /// replay universe, so it is skipped before the closure rules run.
-  /// Works in both granularity passes (it is what gives the column pass
-  /// row-level pruning power) and on its own carries the
-  /// `pruned-predicate-disjoint` explain verdict.
-  bool predicate_filter = true;
 
   /// Record per-suffix-position exclusion provenance into
   /// ReplayPlan::exclusions. The replay engine sets it at every
@@ -52,10 +43,10 @@ struct DependencyOptions {
   /// rules, so the query-selective rollback stays sound. nullptr = none.
   const std::set<uint64_t>* forced_members = nullptr;
 
-  /// Strategy checkpoint hook (DESIGN.md §7.1): when set, the
-  /// column-granularity closure calls it after kFirstStrategyCheckpoint
-  /// scanned suffix positions and again at every doubling (512, 1024, …),
-  /// with the positions scanned so far and the members joined among them.
+  /// Strategy checkpoint hook (DESIGN.md §7.1): when set, the closure pass
+  /// calls it after kFirstStrategyCheckpoint scanned suffix positions and
+  /// again at every doubling (512, 1024, …), with the positions scanned so
+  /// far and the members joined among them.
   /// Returning true abandons the plan (ReplayPlan::abandoned): the caller
   /// rebuilds the universe by full re-execution instead. Only the replay
   /// engine sets it (ReplayMode::kAuto); null plans to completion.
@@ -67,18 +58,15 @@ struct DependencyOptions {
 inline constexpr size_t kFirstStrategyCheckpoint = 256;
 
 /// Why a suffix position did or did not join the replay plan. Sound by
-/// construction: causes are recorded at the exact skip/join sites of the
-/// single monotone ascending closure pass, then merged across granularities
-/// (column verdicts dominate; a column member rejected by the row closure is
-/// the Theorem-20 intersection at work → kClusterExcluded).
+/// construction: recorded at the exact skip/join sites of the single
+/// monotone ascending closure pass.
 enum class PlanExclusion : uint8_t {
   kMember,             // in the replay set
   kTargetSlot,         // the occupied retro-target slot itself
   kReadOnly,           // empty write set: can never join any closure
   kStaticDisjoint,     // static table footprint disjoint from accumulators
-  kPredicateDisjoint,  // predicate regions disjoint from accumulators
+  kPredicateDisjoint,  // a column rule fired; row regions refuted it
   kColumnDisjoint,     // no column-granularity dependency rule fired
-  kClusterExcluded,    // column member, excluded by the row-closure intersect
 };
 
 /// The pruned rollback & replay plan for one retroactive operation.
@@ -103,17 +91,11 @@ struct ReplayPlan {
   std::vector<PlanExclusion> exclusions;
   uint64_t exclusions_base = 0;
 
-  /// Parallel to exclusions when recorded: the ordinal of the position in
-  /// the *column* closure (its cluster id), or -1 when it never joined the
-  /// column-granularity replay set.
+  /// Parallel to exclusions when recorded: the ordinal of the position
+  /// among the plan's members (its cluster id), or -1 for a non-member.
   std::vector<int32_t> cluster_ids;
 
-  /// Parallel to exclusions when recorded: human-readable evidence for
-  /// kPredicateDisjoint positions (the disjoint region pair that refuted
-  /// the dependency), empty string elsewhere.
-  std::vector<std::string> exclusion_detail;
-
-  /// DependencyOptions::checkpoint stopped the column closure early: every
+  /// DependencyOptions::checkpoint stopped the closure pass early: every
   /// other field is empty, and the plan must not be executed.
   bool abandoned = false;
 };
@@ -125,8 +107,14 @@ struct ReplayPlan {
 /// replayable), plus every later writer to a cell the target or a member
 /// wrote (write-write: its value must land after the replayed writes, the
 /// same ordering the conflict DAG enforces between scheduled slots).
-/// Column-wise and row-wise sets are computed independently and
-/// intersected (Theorem 20).
+///
+/// One ascending pass computes the column closure 𝕀_c. With `row_wise` on,
+/// a candidate a column rule admits is vetoed when its typed row regions
+/// are provably disjoint from the target's and members' (DESIGN.md §15).
+/// That pass alone yields Theorem 20's 𝕀_c ∩ 𝕀_r: a typed-region overlap
+/// implies a classic row overlap, so by induction over the pass every
+/// member also joins the row closure (given wc ≠ ∅ ⇒ wr ≠ ∅, which
+/// PredicatePrefilterTest.OnePassPremiseHolds pins).
 ///
 /// `analysis[i]` corresponds to log index i+1. `target_rw` is the R/W set
 /// of the retroactive target: for remove it is the old query's sets; for
@@ -141,6 +129,15 @@ ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
                              uint64_t target_index, const QueryRW& target_rw,
                              bool target_occupies_slot,
                              const DependencyOptions& options);
+
+/// Evidence for the kPredicateDisjoint positions of a plan computed with
+/// record_exclusions: the candidate's typed row regions against the
+/// target's and the earlier members' — the accumulators the veto refuted
+/// it against, rebuilt by joining the members in index order. One string
+/// per exclusions slot, empty elsewhere. Built only for kFull reports.
+std::vector<std::string> PredicateEvidence(
+    const std::vector<QueryRW>& analysis, const QueryRW& target_rw,
+    const ReplayPlan& plan);
 
 /// Conflict edges for dependency-ordered scheduling (§4.4; TxnScheduler
 /// runs independent transactions concurrently over them): a replay arrow

@@ -276,8 +276,6 @@ obs::TxnVerdict VerdictFor(PlanExclusion e) {
       return obs::TxnVerdict::kPrunedPredicateDisjoint;
     case PlanExclusion::kColumnDisjoint:
       return obs::TxnVerdict::kPrunedColumnDisjoint;
-    case PlanExclusion::kClusterExcluded:
-      return obs::TxnVerdict::kClusterExcluded;
   }
   return obs::TxnVerdict::kReplayed;
 }
@@ -297,8 +295,6 @@ const char* EvidenceFor(PlanExclusion e) {
              "members";
     case PlanExclusion::kColumnDisjoint:
       return "no column-granularity dependency rule fired";
-    case PlanExclusion::kClusterExcluded:
-      return "column cluster member excluded by row-closure intersection";
   }
   return "";
 }
@@ -798,6 +794,9 @@ Result<ReplayStats> RetroactiveEngine::Execute(
                              target_rw.write_tables.end());
       report.txns.push_back(std::move(te));
     }
+    // Predicate-tier verdicts carry the disjoint region pair.
+    const std::vector<std::string> regions =
+        PredicateEvidence(analysis, target_rw, plan);
     for (size_t j = 0; j < plan.exclusions.size(); ++j) {
       uint64_t idx = plan.exclusions_base + j;
       const QueryRW& rw = analysis[idx - 1];
@@ -807,11 +806,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
       te.evidence = forced_members.count(idx)
                         ? "forced replay (ground-truth gate)"
                         : EvidenceFor(plan.exclusions[j]);
-      if (!forced_members.count(idx) && j < plan.exclusion_detail.size() &&
-          !plan.exclusion_detail[j].empty()) {
-        // Predicate-tier verdicts carry the disjoint region pair.
-        te.evidence += ": " + plan.exclusion_detail[j];
-      }
+      if (!regions[j].empty()) te.evidence += ": " + regions[j];
       te.read_tables.assign(rw.read_tables.begin(), rw.read_tables.end());
       te.write_tables.assign(rw.write_tables.begin(), rw.write_tables.end());
       te.cluster_id = plan.cluster_ids[j];

@@ -76,28 +76,6 @@ bool RowSet::RegionIntersects(const RowSet& other) const {
   return false;
 }
 
-bool RowSet::Intersects(const RowSet& other) const {
-  for (const auto& [col, vals] : cols) {
-    auto it = other.cols.find(col);
-    if (it == other.cols.end()) continue;
-    const Vals& theirs = it->second;
-    if ((vals.wildcard && (theirs.wildcard || !theirs.values.empty())) ||
-        (theirs.wildcard && !vals.values.empty())) {
-      return true;
-    }
-    const auto& small =
-        vals.values.size() <= theirs.values.size() ? vals.values
-                                                   : theirs.values;
-    const auto& big =
-        vals.values.size() <= theirs.values.size() ? theirs.values
-                                                   : vals.values;
-    for (const auto& v : small) {
-      if (big.count(v)) return true;
-    }
-  }
-  return false;
-}
-
 size_t QueryRW::ApproxLogBytes() const {
   // Ultraverse's compact dependency log: column ids (2 bytes each against a
   // catalog dictionary) + RI values.

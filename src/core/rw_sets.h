@@ -64,14 +64,13 @@ struct RowSet {
   /// Effective typed row view of one entry.
   static ValueRegion TypedRegionOf(const Vals& v);
   void Merge(const RowSet& other);
-  /// True when some column has a wildcard-vs-anything or value-vs-value
-  /// overlap with `other`.
-  bool Intersects(const RowSet& other) const;
-  /// Predicate-region refinement of Intersects: compares the typed row
-  /// views of shared keys, so two wildcards with provably disjoint
-  /// regions (e.g. id<10 vs id>=10) do NOT intersect. Sound on
-  /// canonicalized sets (CanonicalizeRowSets closes regions under RI
-  /// merges) and on raw same-analyzer pairs.
+  /// True when the typed row views of some shared key overlap. Two
+  /// wildcards with provably disjoint regions (e.g. id<10 vs id>=10) do
+  /// NOT intersect. An overlap implies the classic one (a shared RI value,
+  /// or a wildcard facing a non-empty entry), since a value set's view
+  /// holds only its own values. Sound on canonicalized sets
+  /// (CanonicalizeRowSets closes regions under RI merges) and on raw
+  /// same-analyzer pairs.
   bool RegionIntersects(const RowSet& other) const;
   bool empty() const { return cols.empty(); }
 };

@@ -19,7 +19,6 @@ constexpr const char* kVerdictNames[kNumTxnVerdicts] = {
     "pruned-static-footprint",
     "pruned-predicate-disjoint",
     "pruned-column-disjoint",
-    "cluster-excluded",
     "hash-jump-skip",
     "result-cache-hit",
 };

@@ -36,12 +36,11 @@ enum class TxnVerdict {
   kPrunedStaticFootprint, // static table footprints provably disjoint
   kPrunedPredicateDisjoint,  // predicate regions provably disjoint (§15)
   kPrunedColumnDisjoint,  // no column-granularity dependency rule fired
-  kClusterExcluded,       // in the column cluster, excluded by row closure
   kHashJumpSkip,          // plan member never executed: digests converged
   kResultCacheHit,        // whole analysis served from the epoch result cache
 };
 
-inline constexpr int kNumTxnVerdicts = 9;
+inline constexpr int kNumTxnVerdicts = 8;
 
 const char* TxnVerdictName(TxnVerdict v);
 std::optional<TxnVerdict> TxnVerdictFromName(const std::string& name);

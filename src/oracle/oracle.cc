@@ -560,7 +560,6 @@ Result<std::vector<std::string>> CheckCaseExplain(const WhatIfCase& c) {
       case obs::TxnVerdict::kPrunedStaticFootprint:
       case obs::TxnVerdict::kPrunedPredicateDisjoint:
       case obs::TxnVerdict::kPrunedColumnDisjoint:
-      case obs::TxnVerdict::kClusterExcluded:
       case obs::TxnVerdict::kPrunedReadOnly:
         pruned.push_back(te.index);
         break;

@@ -34,8 +34,7 @@ using oracle::WhatIfCase;
 
 // History with one representative per verdict: removing #5 (the id=1
 // UPDATE) leaves #6 column-colliding but refuted by the predicate-region
-// veto ({2} vs {1}, DESIGN.md §15 — before that tier existed this was the
-// cluster-excluded representative), #7 touching only table u
+// veto ({2} vs {1}, DESIGN.md §15), #7 touching only table u
 // (column-disjoint), #8 a pure read (read-only), and #9 a same-cell
 // writer (replayed).
 const std::vector<std::string> kVerdictHistory = {

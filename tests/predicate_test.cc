@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
@@ -19,11 +20,13 @@
 #include "core/predicate.h"
 #include "core/rw_sets.h"
 #include "core/txn_scheduler.h"
+#include "core/ultraverse.h"
 #include "obs/explain.h"
 #include "oracle/fuzzer.h"
 #include "oracle/oracle.h"
 #include "sqldb/parser.h"
 #include "sqldb/value.h"
+#include "workloads/workload.h"
 
 namespace ultraverse::analysis {
 namespace {
@@ -378,13 +381,13 @@ TEST(PredicatePrefilterTest, RangeDisjointSuffixIsPrunedWithEvidence) {
   core::ReplayPlan on = core::ComputeReplayPlan(
       **analysis, 4, target_rw, /*target_occupies_slot=*/true, with);
   core::DependencyOptions without = with;
-  without.predicate_filter = false;
+  without.row_wise = false;
   core::ReplayPlan off = core::ComputeReplayPlan(
       **analysis, 4, target_rw, /*target_occupies_slot=*/true, without);
 
-  // Classic row-wise analysis sees ranges as wildcards, so only the
-  // predicate tier can prune statement 5; statement 6 overlaps {1} and
-  // must replay under both.
+  // Both updates collide with the target on t.v, and a classic RI-value
+  // view sees the ranges as wildcards, so only the region veto can prune
+  // statement 5; statement 6 overlaps {1} and must replay under both.
   EXPECT_EQ(on.replay_indices, (std::vector<uint64_t>{6}));
   EXPECT_EQ(off.replay_indices, (std::vector<uint64_t>{5, 6}));
 
@@ -392,9 +395,22 @@ TEST(PredicatePrefilterTest, RangeDisjointSuffixIsPrunedWithEvidence) {
   ASSERT_GE(on.exclusions.size(), 3u);
   EXPECT_EQ(on.exclusions[5 - on.exclusions_base],
             PlanExclusion::kPredicateDisjoint);
-  ASSERT_EQ(on.exclusion_detail.size(), on.exclusions.size());
-  EXPECT_FALSE(on.exclusion_detail[5 - on.exclusions_base].empty());
   EXPECT_EQ(on.exclusions[6 - on.exclusions_base], PlanExclusion::kMember);
+
+  // A kFull report carries the refuting region pair as evidence.
+  oracle::ModeConfig full;
+  full.explain = obs::ExplainLevel::kFull;
+  core::RetroOp op;
+  op.kind = core::RetroOp::Kind::kRemove;
+  op.index = 4;
+  core::ReplayStats stats;
+  ASSERT_TRUE((*universe)->RunSelective(op, full, &stats).ok());
+  const obs::TxnExplain* pruned = stats.report.FindTxn(5);
+  ASSERT_NE(pruned, nullptr);
+  EXPECT_EQ(pruned->verdict, obs::TxnVerdict::kPrunedPredicateDisjoint);
+  EXPECT_NE(pruned->evidence.find(": reads t.id [5, +inf) vs members {1"),
+            std::string::npos)
+      << pruned->evidence;
 }
 
 TEST(PredicatePrefilterTest, GivesColumnOnlyPassRowPower) {
@@ -408,11 +424,11 @@ TEST(PredicatePrefilterTest, GivesColumnOnlyPassRowPower) {
   ASSERT_TRUE(universe.ok());
   auto analysis = (*universe)->Analysis();
   ASSERT_TRUE(analysis.ok());
+  // One column-closure pass; row_wise adds the region veto to it.
   core::DependencyOptions options;
-  options.row_wise = false;  // column granularity only
   core::ReplayPlan on = core::ComputeReplayPlan(
       **analysis, 4, (**analysis)[3], /*target_occupies_slot=*/true, options);
-  options.predicate_filter = false;
+  options.row_wise = false;
   core::ReplayPlan off = core::ComputeReplayPlan(
       **analysis, 4, (**analysis)[3], /*target_occupies_slot=*/true, options);
   EXPECT_TRUE(on.replay_indices.empty());
@@ -434,7 +450,7 @@ TEST(PredicatePrefilterTest, PrunedPlansOnlyShrinkAndOracleAgrees) {
     core::DependencyOptions options;
     core::ReplayPlan on = core::ComputeReplayPlan(
         **analysis, target, (**analysis)[target - 1], true, options);
-    options.predicate_filter = false;
+    options.row_wise = false;
     core::ReplayPlan off = core::ComputeReplayPlan(
         **analysis, target, (**analysis)[target - 1], true, options);
     std::set<uint64_t> off_set(off.replay_indices.begin(),
@@ -452,6 +468,50 @@ TEST(PredicatePrefilterTest, PrunedPlansOnlyShrinkAndOracleAgrees) {
       oracle::CheckCaseAllModes(hand, oracle::StandardModeConfigs());
   EXPECT_TRUE(result.ok) << result.mode << ": " << result.error
                          << result.diff.ToString();
+}
+
+TEST(PredicatePrefilterTest, OnePassPremiseHolds) {
+  // ComputeReplayPlan's one pass yields 𝕀_c ∩ 𝕀_r only if every entry a
+  // column rule can admit (wc ≠ ∅) carries row information (wr ≠ ∅), and
+  // the region veto may only shrink the column closure.
+  auto premise = [](const std::vector<QueryRW>& analysis,
+                    const std::string& where) {
+    for (size_t i = 0; i < analysis.size(); ++i) {
+      EXPECT_TRUE(analysis[i].wc.empty() || !analysis[i].wr.empty())
+          << where << " entry " << i + 1;
+    }
+  };
+  for (const auto& name : workload::AllWorkloadNames()) {
+    core::Ultraverse uv;
+    workload::Driver::Config config;
+    config.dependency_rate = 0.3;
+    workload::Driver driver(workload::MakeWorkload(name, /*scale=*/1), &uv,
+                            config);
+    ASSERT_TRUE(driver.Setup().ok()) << name;
+    ASSERT_TRUE(driver.RunHistory(300).ok()) << name;
+    auto analysis = uv.EnsureAnalysis();
+    ASSERT_TRUE(analysis.ok()) << name;
+    premise(**analysis, name);
+  }
+  for (uint64_t n = 0; n < 200; ++n) {
+    auto universe = Universe::Build(GenerateCase(/*seed=*/1, n).history);
+    ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+    auto analysis = (*universe)->Analysis();
+    ASSERT_TRUE(analysis.ok());
+    premise(**analysis, "fuzz " + std::to_string(n));
+    for (uint64_t target = 1; target <= (*analysis)->size(); ++target) {
+      core::DependencyOptions options;
+      core::ReplayPlan vetoed = core::ComputeReplayPlan(
+          **analysis, target, (**analysis)[target - 1], true, options);
+      options.row_wise = false;
+      core::ReplayPlan column = core::ComputeReplayPlan(
+          **analysis, target, (**analysis)[target - 1], true, options);
+      EXPECT_TRUE(std::includes(
+          column.replay_indices.begin(), column.replay_indices.end(),
+          vetoed.replay_indices.begin(), vetoed.replay_indices.end()))
+          << "fuzz " << n << " target " << target;
+    }
+  }
 }
 
 TEST(PredicatePrefilterTest, VerdictNameRoundTrips) {

@@ -76,12 +76,11 @@ TEST(ReplayPlanTest, RowWisePrunesColumnWiseSurvivors) {
   EXPECT_TRUE(plan.replay_indices.empty())
       << "column-dependent but row-independent: pruned (Theorem 20)";
 
+  // row_wise off also drops the predicate-region veto (DESIGN.md §15)
+  // that prunes it above ("A" vs "B" are point regions): the classic
+  // column rules alone cannot.
   DependencyOptions col_only;
   col_only.row_wise = false;
-  // The predicate-region tier (DESIGN.md §15) would prune this even at
-  // column granularity ("A" vs "B" are point regions); switch it off to
-  // demonstrate the classic column rules alone cannot.
-  col_only.predicate_filter = false;
   plan = ComputeReplayPlan(analysis, 1, analysis[0], true, col_only);
   EXPECT_EQ(plan.replay_indices.size(), 1u)
       << "column-wise alone cannot prune it";

@@ -157,7 +157,7 @@ TEST_F(RwSetsTest, MergedRiValuesCanonicalizeEqual) {
   QueryRW after = Analyze("UPDATE t SET v = 8 WHERE id = 2");
   analyzer_.CanonicalizeRowSets(&before);
   analyzer_.CanonicalizeRowSets(&after);
-  EXPECT_TRUE(before.wr.Intersects(after.wr))
+  EXPECT_TRUE(before.wr.RegionIntersects(after.wr))
       << "merged RI values must compare equal after canonicalization";
 }
 
@@ -237,16 +237,17 @@ TEST(RowSetTest, IntersectionSemantics) {
   RowSet a, b;
   a.AddValue("t.id", "v1");
   b.AddValue("t.id", "v2");
-  EXPECT_FALSE(a.Intersects(b));
+  EXPECT_FALSE(a.RegionIntersects(b));
   b.AddValue("t.id", "v1");
-  EXPECT_TRUE(a.Intersects(b));
+  EXPECT_TRUE(a.RegionIntersects(b));
   RowSet wild;
   wild.AddWildcard("t.id");
-  EXPECT_TRUE(wild.Intersects(a));
-  EXPECT_TRUE(a.Intersects(wild));
+  EXPECT_TRUE(wild.RegionIntersects(a));
+  EXPECT_TRUE(a.RegionIntersects(wild));
   RowSet other_col;
   other_col.AddWildcard("u.id");
-  EXPECT_FALSE(other_col.Intersects(a)) << "different columns never overlap";
+  EXPECT_FALSE(other_col.RegionIntersects(a))
+      << "different columns never overlap";
 }
 
 }  // namespace
