@@ -601,27 +601,41 @@ void BM_WalRecover(benchmark::State& state) {
 }
 BENCHMARK(BM_WalRecover)->Arg(100)->Arg(1000);
 
-// MVCC snapshot acquisition (DESIGN.md §14). Arg 0: the epoch is
-// unchanged, so SnapshotHistory() returns the cached shared_ptr — this is
-// the per-analysis overhead every concurrent what-if pays. Arg 1: a commit
-// lands between acquisitions, so every iteration rebuilds the snapshot
-// (full CoW clone + analysis catch-up) — the cost writers impose on the
-// first analyst after them.
+// MVCC snapshot acquisition (DESIGN.md §14) over a history of range(1)
+// committed entries on a 64-row table. range(0) = 0: the epoch is
+// unchanged, so SnapshotHistory() returns the cached shared_ptr — the
+// per-analysis overhead every concurrent what-if pays. range(0) = 1: a
+// commit lands between acquisitions, so every iteration builds a snapshot
+// that extends the previous one. Its `lock_us` counter (mean time a build
+// holds the exclusive commit lock, uv.whatif.snapshot.lock_us) is the
+// writer stall and stays O(delta); the wall time still includes the
+// O(history) off-lock copy of the analysis vectors. A fixed iteration
+// count bounds how far the committing variant grows the history.
 void BM_SnapshotAcquire(benchmark::State& state) {
   const bool advance = state.range(0) != 0;
+  const int64_t history = state.range(1);
   core::Ultraverse uv;
   if (!uv.ExecuteSql("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok()) {
     state.SkipWithError("setup failed");
     return;
   }
-  for (int i = 1; i <= 64; ++i) {
-    if (!uv.ExecuteSql("INSERT INTO t (id, v) VALUES (" +
-                       std::to_string(i) + ", 0)")
+  for (int64_t i = 1; i < history; ++i) {
+    const std::string id = std::to_string(1 + (i - 1) % 64);
+    if (!uv.ExecuteSql(i <= 64 ? "INSERT INTO t (id, v) VALUES (" + id + ", 0)"
+                               : "UPDATE t SET v = v + 1 WHERE id = " + id)
              .ok()) {
       state.SkipWithError("setup failed");
       return;
     }
   }
+  if (!uv.SnapshotHistory().ok()) {
+    state.SkipWithError("snapshot failed");
+    return;
+  }
+  obs::Histogram* const lock_us =
+      obs::Registry::Global().histogram("uv.whatif.snapshot.lock_us");
+  obs::SetTiming(true);
+  const obs::HistogramSnapshot before = lock_us->Snapshot("lock_us");
   int k = 0;
   for (auto _ : state) {
     if (advance) {
@@ -641,9 +655,16 @@ void BM_SnapshotAcquire(benchmark::State& state) {
     }
     benchmark::DoNotOptimize((*snap)->epoch);
   }
+  obs::SetTiming(false);
+  const obs::HistogramSnapshot after = lock_us->Snapshot("lock_us");
+  const uint64_t builds = after.count - before.count;
+  state.counters["lock_us"] =
+      builds ? double(after.sum_us - before.sum_us) / double(builds) : 0;
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SnapshotAcquire)->Arg(0)->Arg(1);
+BENCHMARK(BM_SnapshotAcquire)
+    ->ArgsProduct({{0, 1}, {64, 4096}})
+    ->Iterations(256);
 
 // What-if result-cache hit latency (DESIGN.md §14): the steady-state cost
 // of re-asking an already-answered question at an unchanged epoch — a map

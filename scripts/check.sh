@@ -27,7 +27,7 @@
 #    drain and WAL-recovery fingerprint check, and a ~30-second wire
 #    crash sweep (fuzz_whatif --server-crash) arming failpoints on every
 #    wire-path edge (DESIGN.md §16), a short bench_micro run of the
-#    what-if and planner micro benches that fails on any "ERROR
+#    what-if, planner and snapshot micro benches that fails on any "ERROR
 #    OCCURRED" (a bench whose loop fails still exits 0), and the what-if
 #    benchmark's exact-repeat counts check
 #    (whatifbench/test_counts_repeat.py), which also proves
@@ -107,7 +107,7 @@ run_plain() {
     "$ROOT"/build/tools/fuzz_whatif --server-crash --seed 1 --fuzz-seconds 30)
   echo "== plain: micro-bench smoke (no ERROR OCCURRED) =="
   MICRO_OUT="$(cd "$SWEEP_DIR" && "$ROOT"/build/bench/bench_micro \
-    --benchmark_filter='BM_WhatIfReplayObs|BM_ExplainOverhead|BM_Predicate|BM_ReplayPlanPrefilter' \
+    --benchmark_filter='BM_WhatIfReplayObs|BM_ExplainOverhead|BM_Predicate|BM_ReplayPlanPrefilter|BM_SnapshotAcquire' \
     --benchmark_min_time=0.2 2>&1)"
   echo "$MICRO_OUT"
   if grep -q "ERROR OCCURRED" <<<"$MICRO_OUT"; then

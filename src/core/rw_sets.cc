@@ -14,6 +14,7 @@ namespace {
 using sql::Expr;
 using sql::ExprKind;
 using sql::ExprPtr;
+using sql::IsDdl;
 using sql::SelectStatement;
 using sql::Statement;
 using sql::StatementKind;
@@ -319,25 +320,6 @@ void ApplyRiConfig(SchemaRegistry* reg,
   reg->SetRiColumn(table, it->second.ri_column);
   auto* info = reg->FindTableMutable(table);
   if (info) info->ri_aliases = it->second.aliases;
-}
-
-bool IsDdl(StatementKind kind) {
-  switch (kind) {
-    case StatementKind::kCreateTable:
-    case StatementKind::kAlterTable:
-    case StatementKind::kDropTable:
-    case StatementKind::kTruncateTable:
-    case StatementKind::kCreateView:
-    case StatementKind::kDropView:
-    case StatementKind::kCreateIndex:
-    case StatementKind::kCreateProcedure:
-    case StatementKind::kDropProcedure:
-    case StatementKind::kCreateTrigger:
-    case StatementKind::kDropTrigger:
-      return true;
-    default:
-      return false;
-  }
 }
 
 }  // namespace

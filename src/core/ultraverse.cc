@@ -4,6 +4,7 @@
 #include <atomic>
 
 #include "applang/app_parser.h"
+#include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sqldb/parser.h"
@@ -379,13 +380,26 @@ Result<sql::ExecResult> Ultraverse::ExecuteSql(const std::string& sql_text) {
     // commit order, which replay assumes anyway).
     entry.timestamp = db_.NextTimestamp();
     const uint64_t commit_index = log_.size() + 1;
+    // A failed WAL append unapplies the statement, and row-level rollback
+    // cannot undo DDL: keep a CoW savepoint (O(tables) page shares) to
+    // return to instead. DDL nested in a CALL is not covered.
+    std::unique_ptr<sql::Database> savepoint;
+    if (wal_ && sql::IsDdl(stmt->kind)) savepoint = db_.Clone();
     Result<sql::ExecResult> res = db_.Execute(*stmt, commit_index, &ctx);
     if (!res.ok()) {
       db_.RollbackToIndex(commit_index - 1);
       return res.status();
     }
     out = std::move(*res);
-    UV_ASSIGN_OR_RETURN(durability_seq, CommitEntry(std::move(entry)));
+    Result<uint64_t> seq = CommitEntry(std::move(entry));
+    if (!seq.ok()) {
+      // Only a failure before the log append leaves the entry uncommitted.
+      if (savepoint && log_.size() < commit_index) {
+        db_.RestoreSavepoint(std::move(savepoint));
+      }
+      return seq.status();
+    }
+    durability_seq = *seq;
   }
   // Group-commit durability wait outside the commit lock: a failed group
   // fsync reports here — to every committer in the group (see
@@ -522,6 +536,7 @@ Status Ultraverse::EnsureAnalysisLocked() {
     canonical_analysis_ = raw_analysis_;
     for (auto& rw : canonical_analysis_) analyzer_.CanonicalizeRowSets(&rw);
     canonical_merge_gen_ = gen;
+    log_.BumpGeneration();
   } else if (canonical_analysis_.size() < raw_analysis_.size()) {
     // Union-find unchanged: every existing canonical entry is still
     // canonical; only the new tail needs work (incremental maintenance,
@@ -542,6 +557,7 @@ void Ultraverse::OnPublishedLocked(const RetroOp& op) {
   // re-derives the tail lazily from the rewritten entries. The analyzer's
   // union-find keeps merges learned from the dead suffix — that can only
   // widen row sets, which over-replays but never skips a dependency.
+  log_.BumpGeneration();
   const size_t keep = std::min<size_t>(raw_analysis_.size(), op.index - 1);
   raw_analysis_.resize(keep);
   footprints_.resize(std::min(footprints_.size(), keep));
@@ -571,6 +587,34 @@ Result<const std::vector<QueryRW>*> Ultraverse::EnsureAnalysis() {
   return &canonical_analysis_;
 }
 
+namespace {
+
+/// The predecessor of a snapshot built with no valid one to extend.
+const HistorySnapshot& EmptySnapshot() {
+  static const HistorySnapshot* const empty = [] {
+    auto* snap = new HistorySnapshot;
+    snap->entries = std::make_shared<std::vector<const sql::LogEntry*>>();
+    snap->analysis = std::make_shared<std::vector<QueryRW>>();
+    snap->footprints = std::make_shared<std::vector<TableFootprint>>();
+    return snap;
+  }();
+  return *empty;
+}
+
+/// `base`'s elements followed by `delta`'s, as one shared vector.
+template <typename T>
+std::shared_ptr<const std::vector<T>> Concat(const std::vector<T>& base,
+                                             std::vector<T> delta) {
+  auto out = std::make_shared<std::vector<T>>();
+  out->reserve(base.size() + delta.size());
+  out->insert(out->end(), base.begin(), base.end());
+  out->insert(out->end(), std::make_move_iterator(delta.begin()),
+              std::make_move_iterator(delta.end()));
+  return out;
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const HistorySnapshot>> Ultraverse::SnapshotHistory() {
   {
     std::shared_lock<std::shared_mutex> rl(commit_mu_);
@@ -578,47 +622,88 @@ Result<std::shared_ptr<const HistorySnapshot>> Ultraverse::SnapshotHistory() {
       return snapshot_cache_;
     }
   }
-  std::unique_lock<std::shared_mutex> wl(commit_mu_);
-  // Another thread may have built it between the two locks.
-  if (snapshot_cache_ && snapshot_cache_->epoch == log_.epoch()) {
-    return snapshot_cache_;
-  }
   static obs::Counter* const builds =
       obs::Registry::Global().counter("uv.whatif.snapshot.builds");
   static obs::Histogram* const build_us =
       obs::Registry::Global().histogram("uv.whatif.snapshot.build_us");
-  builds->Inc();
-  obs::TraceSpan span("whatif.snapshot", {{"horizon", log_.size()}});
+  static obs::Histogram* const lock_us =
+      obs::Registry::Global().histogram("uv.whatif.snapshot.lock_us");
   obs::ScopedLatency latency(build_us);
-  UV_RETURN_NOT_OK(EnsureAnalysisLocked());
+  obs::TraceSpan span("whatif.snapshot");
   auto snap = std::make_shared<HistorySnapshot>();
-  snap->epoch = log_.epoch();
-  snap->horizon = log_.size();
-  // Full CoW clone: O(tables) page-pointer shares, no row copies. The
-  // clone is immutable from here on — concurrent analyses stage their own
-  // temporaries FROM it and fault in lock-free.
-  snap->db = std::shared_ptr<const sql::Database>(db_.Clone());
+  std::shared_ptr<const HistorySnapshot> pred;
+  std::vector<sql::LogEntry> delta_entries;
+  std::vector<QueryRW> delta_analysis;
+  std::vector<TableFootprint> delta_footprints;
+  uint64_t held_us = 0;
+  {
+    std::unique_lock<std::shared_mutex> wl(commit_mu_);
+    // Another thread may have built it between the two locks.
+    if (snapshot_cache_ && snapshot_cache_->epoch == log_.epoch()) {
+      return snapshot_cache_;
+    }
+    const uint64_t locked_at = NowMicros();
+    builds->Inc();
+    UV_RETURN_NOT_OK(EnsureAnalysisLocked());
+    // The cached snapshot is a prefix of this one unless something it
+    // covers was rewritten in place since (the generation advanced); then
+    // the build extends the empty snapshot, i.e. copies everything.
+    if (snapshot_cache_ && snapshot_cache_->generation == log_.generation() &&
+        snapshot_cache_->horizon <= log_.size()) {
+      pred = snapshot_cache_;
+    }
+    const size_t from = pred ? pred->horizon : 0;
+    obs::TraceSpan locked("whatif.snapshot.locked",
+                          {{"horizon", log_.size()},
+                           {"delta", log_.size() - from}});
+    delta_entries.assign(log_.entries().begin() + from, log_.entries().end());
+    delta_analysis.assign(canonical_analysis_.begin() + from,
+                          canonical_analysis_.end());
+    delta_footprints.assign(footprints_.begin() + from, footprints_.end());
+    snap->epoch = log_.epoch();
+    snap->horizon = log_.size();
+    snap->generation = log_.generation();
+    // Full CoW clone: O(tables) page-pointer shares, no row copies. The
+    // clone is immutable from here on — concurrent analyses stage their
+    // own temporaries FROM it and fault in lock-free.
+    snap->db = std::shared_ptr<const sql::Database>(db_.Clone());
+    auto analyzer_copy = std::make_shared<QueryAnalyzer>(analyzer_);
+    // The frozen copy must not feed the live static-soundness observer.
+    analyzer_copy->set_observer(nullptr);
+    snap->analyzer = std::move(analyzer_copy);
+    held_us = NowMicros() - locked_at;
+  }
+  // Off the commit lock: the predecessor is immutable, so its O(horizon)
+  // vectors are copied while writers keep committing.
+  UV_FAILPOINT("whatif.snapshot.extend");
+  const HistorySnapshot& base = pred ? *pred : EmptySnapshot();
+  snap->entry_storage = base.entry_storage;
   auto pinned = std::make_shared<std::vector<const sql::LogEntry*>>();
-  // The snapshot owns a *copy* of the pinned prefix, not pointers into the
-  // live deque: a publish rewrites entries in place (an add/remove even
-  // inserts or erases mid-deque, invalidating every live reference), and
-  // in-flight analyses read their pinned history lock-free. Copies are
-  // O(prefix) once per epoch and shared by every analysis at that epoch.
-  auto storage = std::make_shared<std::deque<sql::LogEntry>>(log_.entries());
-  pinned->reserve(storage->size());
-  for (const sql::LogEntry& entry : *storage) pinned->push_back(&entry);
-  snap->entry_storage = std::move(storage);
+  pinned->reserve(snap->horizon);
+  pinned->insert(pinned->end(), base.entries->begin(), base.entries->end());
+  if (!delta_entries.empty()) {
+    auto segment = std::make_shared<const std::vector<sql::LogEntry>>(
+        std::move(delta_entries));
+    for (const sql::LogEntry& entry : *segment) pinned->push_back(&entry);
+    snap->entry_storage.push_back(std::move(segment));
+  }
   snap->entries = std::move(pinned);
-  snap->analysis =
-      std::make_shared<const std::vector<QueryRW>>(canonical_analysis_);
-  snap->footprints =
-      std::make_shared<const std::vector<TableFootprint>>(footprints_);
-  auto analyzer_copy = std::make_shared<QueryAnalyzer>(analyzer_);
-  // The frozen copy must not feed the live static-soundness observer.
-  analyzer_copy->set_observer(nullptr);
-  snap->analyzer = std::move(analyzer_copy);
-  snapshot_cache_ = snap;
-  return snapshot_cache_;
+  snap->analysis = Concat(*base.analysis, std::move(delta_analysis));
+  snap->footprints = Concat(*base.footprints, std::move(delta_footprints));
+  // The snapshot it replaces may be the last reference to an O(horizon)
+  // history: it is released after the lock drops.
+  std::shared_ptr<const HistorySnapshot> replaced = snap;
+  {
+    std::lock_guard<std::shared_mutex> g(commit_mu_);
+    const uint64_t locked_at = NowMicros();
+    if (!snapshot_cache_ || snapshot_cache_->epoch < snap->epoch) {
+      std::swap(snapshot_cache_, replaced);
+    }
+    held_us += NowMicros() - locked_at;
+  }
+  // Writer stall: how long this build held the exclusive commit lock.
+  if (obs::TimingEnabled()) lock_us->Record(held_us);
+  return std::shared_ptr<const HistorySnapshot>(std::move(snap));
 }
 
 size_t Ultraverse::UltraverseLogBytes() {

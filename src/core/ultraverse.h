@@ -1,7 +1,6 @@
 #ifndef ULTRAVERSE_CORE_ULTRAVERSE_H_
 #define ULTRAVERSE_CORE_ULTRAVERSE_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -36,19 +35,27 @@ const char* SystemModeName(SystemMode mode);
 /// Immutable MVCC snapshot of one history epoch (DESIGN.md §14): the full
 /// CoW-cloned database state at the snapshot horizon, pinned pointers to
 /// every committed entry up to it, the canonicalized per-entry analysis,
-/// the static table footprints, and a frozen copy of the analyzer. Built
-/// under the commit lock, then shared read-only by any number of
-/// concurrent what-if analyses while regular traffic keeps committing.
+/// the static table footprints, and a frozen copy of the analyzer. Shared
+/// read-only by any number of concurrent what-if analyses while regular
+/// traffic keeps committing. A new snapshot extends its predecessor: the
+/// commit lock is held only to copy what was committed since (plus the
+/// O(tables) clone), and the O(horizon) vectors are assembled after it
+/// drops.
 struct HistorySnapshot {
   uint64_t epoch = 0;    // history epoch this snapshot pins
   uint64_t horizon = 0;  // committed entries covered (log prefix length)
+  /// QueryLog::generation() at build time: a later snapshot may extend
+  /// this one only while the generation still holds.
+  uint64_t generation = 0;
   std::shared_ptr<const sql::Database> db;
-  /// Owned copies of the pinned prefix. A what-if publish rewrites live
-  /// log entries *in place* (and an add/remove publish inserts or erases
-  /// mid-deque, which invalidates every reference into it), so pointers
-  /// into the live deque would race with lock-free in-flight analyses.
-  /// The snapshot owns its history instead; `entries` points into this.
-  std::shared_ptr<const std::deque<sql::LogEntry>> entry_storage;
+  /// Owned copies of the pinned prefix, as immutable segments shared with
+  /// the predecessor and successor snapshots (each build adds one segment
+  /// holding the entries committed since its predecessor). A publish
+  /// rewrites live log entries *in place* (and an add/remove publish
+  /// inserts or erases mid-deque, invalidating every reference into it),
+  /// so pointers into the live deque would race with lock-free in-flight
+  /// analyses. `entries` points into these segments.
+  std::vector<std::shared_ptr<const std::vector<sql::LogEntry>>> entry_storage;
   std::shared_ptr<const std::vector<const sql::LogEntry*>> entries;
   std::shared_ptr<const std::vector<QueryRW>> analysis;
   std::shared_ptr<const std::vector<TableFootprint>> footprints;
@@ -234,10 +241,12 @@ class Ultraverse {
   uint64_t history_epoch() const { return log_.epoch(); }
 
   /// Returns the shared immutable snapshot of the current history epoch,
-  /// building it (full CoW clone + analysis catch-up) only when the epoch
-  /// advanced since the last call. Any number of threads may analyze
-  /// against the returned snapshot concurrently; writers are blocked only
-  /// while the snapshot itself is built.
+  /// building it only when the epoch advanced since the last call. The
+  /// build extends the cached snapshot when no committed entry it covers
+  /// was rewritten since: writers are blocked only for the analysis
+  /// catch-up, the CoW clone and the copy of the entries committed since
+  /// (DESIGN.md §14). Any number of threads may analyze against the
+  /// returned snapshot concurrently.
   Result<std::shared_ptr<const HistorySnapshot>> SnapshotHistory();
 
   /// Analyze-only what-if against an explicit snapshot: computes the
@@ -328,7 +337,8 @@ class Ultraverse {
   /// tail. Caller holds commit_mu_ exclusively. Incremental: entries
   /// already canonicalized are reused verbatim unless the analyzer's
   /// merged-RI generation advanced (then canonical representatives may
-  /// have changed and everything re-canonicalizes).
+  /// have changed, everything re-canonicalizes, and the log's rewrite
+  /// generation advances so no snapshot extends the stale analysis).
   Status EnsureAnalysisLocked();
 
   /// Publish-time cache maintenance, invoked by the engine inside the
@@ -379,8 +389,9 @@ class Ultraverse {
   mutable std::shared_mutex commit_mu_;
 
   // --- MVCC what-if state (DESIGN.md §14) ---------------------------------
-  /// Latest epoch's snapshot; replaced when the epoch advances. In-flight
-  /// analyses keep older snapshots alive through their shared_ptrs.
+  /// Newest snapshot built; replaced only by a newer epoch's, and the
+  /// predecessor the next build extends. In-flight analyses keep older
+  /// snapshots alive through their shared_ptrs.
   std::shared_ptr<const HistorySnapshot> snapshot_cache_;
   /// Hash-jumper timeline shared across publishing what-ifs, epoch-keyed.
   TimelineCache timeline_cache_;

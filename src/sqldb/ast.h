@@ -146,6 +146,27 @@ enum class StatementKind {
   kDeclareVar, kSetVar, kIf, kWhile, kLeave, kSignal,
 };
 
+/// Statements that change the schema or catalog (tables, views, indexes,
+/// procedures, triggers) or, for TRUNCATE, a table wholesale.
+inline bool IsDdl(StatementKind kind) {
+  switch (kind) {
+    case StatementKind::kCreateTable:
+    case StatementKind::kAlterTable:
+    case StatementKind::kDropTable:
+    case StatementKind::kTruncateTable:
+    case StatementKind::kCreateView:
+    case StatementKind::kDropView:
+    case StatementKind::kCreateIndex:
+    case StatementKind::kCreateProcedure:
+    case StatementKind::kDropProcedure:
+    case StatementKind::kCreateTrigger:
+    case StatementKind::kDropTrigger:
+      return true;
+    default:
+      return false;
+  }
+}
+
 struct Statement;
 using StatementPtr = std::shared_ptr<Statement>;
 

@@ -845,6 +845,16 @@ std::unique_ptr<Database> Database::Clone() const {
   return copy;
 }
 
+void Database::RestoreSavepoint(std::unique_ptr<Database> savepoint) {
+  tables_ = std::move(savepoint->tables_);
+  views_ = std::move(savepoint->views_);
+  procedures_ = std::move(savepoint->procedures_);
+  triggers_ = std::move(savepoint->triggers_);
+  auto_increment_ = std::move(savepoint->auto_increment_);
+  // Plans compiled against the undone catalog must become unreachable.
+  schema_version_.store(NextSchemaEpoch(), std::memory_order_relaxed);
+}
+
 std::unique_ptr<Database> Database::CloneTables(
     const std::vector<std::string>& names) const {
   static obs::Counter* const staged =

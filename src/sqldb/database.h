@@ -172,6 +172,12 @@ class Database {
   /// and memory is shared until either side writes.
   std::unique_ptr<Database> Clone() const;
 
+  /// Returns to `savepoint`, a Clone() of this database: adopts its tables
+  /// (undo journals included) and catalog, undoing whatever ran since —
+  /// DDL too, which RollbackToIndex cannot reach. The logical clock keeps
+  /// its current value.
+  void RestoreSavepoint(std::unique_ptr<Database> savepoint);
+
   /// Selective staging (§4.4): CoW-clones only `names` (plus the full —
   /// cheap — catalog of views/procedures/triggers/auto-increment state).
   /// Combine with SetReadFallback so queries that stray outside the staged

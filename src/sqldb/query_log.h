@@ -55,12 +55,14 @@ class QueryLog {
   const std::deque<LogEntry>& entries() const { return entries_; }
   std::deque<LogEntry>& mutable_entries() {
     BumpEpoch();
+    BumpGeneration();
     return entries_;
   }
   size_t size() const { return entries_.size(); }
   const LogEntry& at(uint64_t index) const { return entries_[index - 1]; }
   LogEntry& at_mutable(uint64_t index) {
     BumpEpoch();
+    BumpGeneration();
     return entries_[index - 1];
   }
   uint64_t last_index() const { return entries_.size(); }
@@ -75,6 +77,17 @@ class QueryLog {
   /// appending writer.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
+
+  /// Rewrite generation (DESIGN.md §14): advances on every in-place change
+  /// to committed history — a mutable access (a publish's rewrite, WAL
+  /// recovery's clear) — and, via BumpGeneration from the facade, whenever
+  /// what it derived from committed entries is rebuilt rather than
+  /// extended. Append leaves it alone. So while the generation holds, a
+  /// prefix read earlier is still a prefix of the log, and a history
+  /// snapshot may be extended by the appended entries alone. Guarded like
+  /// the entries themselves (the facade's commit lock).
+  uint64_t generation() const { return generation_; }
+  void BumpGeneration() { ++generation_; }
 
   /// Byte size a MySQL-style binary log would use: statement text plus a
   /// fixed per-event header (MySQL binlog v4 events carry a 19-byte common
@@ -91,6 +104,7 @@ class QueryLog {
  private:
   std::deque<LogEntry> entries_;
   std::atomic<uint64_t> epoch_{0};
+  uint64_t generation_ = 0;
 };
 
 }  // namespace ultraverse::sql

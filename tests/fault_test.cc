@@ -914,6 +914,27 @@ function Deposit(owner, amount) {
                         core::SystemMode::kT)
         .status();
   });
+  // DDL changes the catalog, which row-level rollback cannot undo: without
+  // the savepoint the first attempt would leave the change behind and the
+  // retry would fail (the table exists / is gone).
+  check("CREATE TABLE", [&] {
+    return uv.ExecuteSql("CREATE TABLE extra (id INT PRIMARY KEY, v INT)")
+        .status();
+  });
+  ASSERT_TRUE(uv.ExecuteSql("INSERT INTO extra (id, v) VALUES (1, 2)").ok());
+  const int balance = uv.db()->FindTable("accounts")->schema().ColumnIndex(
+      "balance");
+  ASSERT_FALSE(uv.db()->FindTable("accounts")->HasIndex(balance));
+  check("CREATE INDEX", [&] {
+    Status st =
+        uv.ExecuteSql("CREATE INDEX by_balance ON accounts (balance)").status();
+    // The fingerprint cannot see an index: look at the table itself.
+    EXPECT_EQ(uv.db()->FindTable("accounts")->HasIndex(balance), st.ok());
+    return st;
+  });
+  check("DROP TABLE", [&] {
+    return uv.ExecuteSql("DROP TABLE extra").status();
+  });
   fs::remove(path);
 }
 

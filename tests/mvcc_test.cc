@@ -8,18 +8,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <shared_mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/replay.h"
 #include "core/ultraverse.h"
+#include "fault/failpoint.h"
+#include "fault/recovery.h"
 #include "obs/metrics.h"
 #include "oracle/concurrent.h"
 #include "oracle/oracle.h"
 #include "sqldb/database.h"
 #include "sqldb/exec_engine.h"
+#include "sqldb/parser.h"
 
 namespace ultraverse::core {
 namespace {
@@ -564,6 +570,326 @@ TEST(MvccConcurrentTest, SameRejectionPastHorizonIsAgreement) {
   changed.fingerprint += "x";
   EXPECT_NE(oracle::JudgeAnalysisPair(good, changed, true), "");
   EXPECT_EQ(oracle::JudgeAnalysisPair(good, changed, false), "");
+}
+
+// --- Extended snapshots (O(delta) builds) ------------------------------------
+
+std::string DumpRegion(const ValueRegion& r) {
+  if (r.top) return "*";
+  std::string s = "{";
+  for (const auto& p : r.points) s += p + ";";
+  for (const auto& iv : r.intervals) {
+    s += iv.lo_incl ? "[" : "(";
+    s += iv.lo ? iv.lo->Encode() : "-inf";
+    s += ",";
+    s += iv.hi ? iv.hi->Encode() : "+inf";
+    s += iv.hi_incl ? "]" : ")";
+  }
+  return s + "}";
+}
+
+std::string DumpStrings(const std::set<std::string>& items) {
+  std::string s;
+  for (const auto& i : items) s += i + ",";
+  return s;
+}
+
+std::string DumpRows(const RowSet& rows) {
+  std::string s;
+  for (const auto& [col, vals] : rows.cols) {
+    s += col + (vals.wildcard ? "[*" : "[") + DumpStrings(vals.values) + "]" +
+         DumpRegion(vals.region) + " ";
+  }
+  return s;
+}
+
+/// Every field of every per-entry R/W set, one line per entry.
+std::string DumpAnalysis(const std::vector<QueryRW>& analysis) {
+  std::string s;
+  for (const QueryRW& rw : analysis) {
+    s += "rc:" + DumpStrings(rw.rc.items) + " wc:" + DumpStrings(rw.wc.items) +
+         " rr:" + DumpRows(rw.rr) + " wr:" + DumpRows(rw.wr) +
+         " rt:" + DumpStrings(rw.read_tables) +
+         " wt:" + DumpStrings(rw.write_tables) +
+         " ddl:" + std::to_string(rw.is_ddl) +
+         " ow:" + std::to_string(rw.overwrites) + "\n";
+  }
+  return s;
+}
+
+std::string DumpFootprints(const std::vector<TableFootprint>& footprints) {
+  std::string s;
+  for (const TableFootprint& fp : footprints) {
+    s += (fp.universal ? "*" : "") + DumpStrings(fp.tables) + "\n";
+  }
+  return s;
+}
+
+std::string DumpEntries(const std::vector<const sql::LogEntry*>& entries) {
+  std::string s;
+  for (const sql::LogEntry* e : entries) {
+    s += std::to_string(e->index) + " " + e->sql + " | " + e->app_txn + "(";
+    for (const sql::Value& v : e->app_args) s += v.Encode() + ",";
+    s += ")\n";
+  }
+  return s;
+}
+
+/// Two facades fed identical commits: `live` snapshots after every commit,
+/// `sparse` only at checkpoints, where their snapshots must agree.
+class ExtendedSnapshotTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    live_ = MakeFacade();
+    sparse_ = MakeFacade();
+  }
+
+  static std::unique_ptr<Ultraverse> MakeFacade() {
+    auto uv = std::make_unique<Ultraverse>();
+    uv->ConfigureRi("subscriber", "s_id", {"sub_nbr"});
+    uv->ConfigureRi("call_forwarding", "s_id");
+    return uv;
+  }
+
+  /// Commits `sql` on both facades; `live` snapshots right after.
+  void Commit(const std::string& sql) {
+    ASSERT_TRUE(sparse_->ExecuteSql(sql).ok()) << sql;
+    ASSERT_TRUE(live_->ExecuteSql(sql).ok()) << sql;
+    SnapshotLive();
+  }
+
+  /// `live` snapshots; returns whether the build extended the previous
+  /// snapshot (shares its entry segments) rather than copying everything.
+  bool SnapshotLive() {
+    auto snap = live_->SnapshotHistory();
+    EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+    if (!snap.ok()) return false;
+    const bool extended =
+        last_ != nullptr && !last_->entry_storage.empty() &&
+        (*snap)->entry_storage.size() == last_->entry_storage.size() + 1 &&
+        (*snap)->entry_storage.front() == last_->entry_storage.front();
+    last_ = *snap;
+    return extended;
+  }
+
+  /// Runs the transpiled `fn` on both facades; `live` snapshots after.
+  void CommitTxn(const std::string& fn, const std::string& nbr, int value) {
+    for (Ultraverse* uv : {sparse_.get(), live_.get()}) {
+      auto r = uv->RunTransaction(
+          fn, {app::AppValue::String(nbr), app::AppValue::Number(value)},
+          SystemMode::kT);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+    SnapshotLive();
+  }
+
+  void Publish(const RetroOp& op) {
+    auto a = sparse_->WhatIf(op, SystemMode::kTD);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    auto b = live_->WhatIf(op, SystemMode::kTD);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+  }
+
+  /// Both facades snapshot; the snapshots and one analyze-only what-if on
+  /// them must agree.
+  void Checkpoint(const char* what) {
+    SCOPED_TRACE(what);
+    SnapshotLive();
+    auto sparse = sparse_->SnapshotHistory();
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    const HistorySnapshot& a = *last_;
+    const HistorySnapshot& b = **sparse;
+    ASSERT_EQ(a.horizon, b.horizon);
+    ASSERT_EQ(a.entries->size(), a.horizon);
+    ASSERT_EQ(a.analysis->size(), a.horizon);
+    ASSERT_EQ(a.footprints->size(), a.horizon);
+    EXPECT_EQ(DumpEntries(*a.entries), DumpEntries(*b.entries));
+    EXPECT_EQ(DumpAnalysis(*a.analysis), DumpAnalysis(*b.analysis));
+    EXPECT_EQ(DumpFootprints(*a.footprints), DumpFootprints(*b.footprints));
+    // And both equal what the live facade holds right now.
+    std::vector<const sql::LogEntry*> log;
+    for (const sql::LogEntry& e : sparse_->log()->entries()) log.push_back(&e);
+    EXPECT_EQ(DumpEntries(*b.entries), DumpEntries(log));
+    auto analysis = sparse_->EnsureAnalysis();
+    ASSERT_TRUE(analysis.ok());
+    EXPECT_EQ(DumpAnalysis(*b.analysis), DumpAnalysis(**analysis));
+    RetroOp op;
+    op.kind = RetroOp::Kind::kRemove;
+    op.index = a.horizon - 1;
+    auto wa = live_->WhatIfAnalyzeAt(a, op, SystemMode::kTD);
+    auto wb = sparse_->WhatIfAnalyzeAt(b, op, SystemMode::kTD);
+    ASSERT_TRUE(wa.ok()) << wa.status().ToString();
+    ASSERT_TRUE(wb.ok()) << wb.status().ToString();
+    EXPECT_EQ(wa->fingerprint, wb->fingerprint);
+    EXPECT_EQ(wa->stats.replayed, wb->stats.replayed);
+  }
+
+  void Updates(int first, int n) {
+    for (int i = first; i < first + n; ++i) {
+      const std::string id = std::to_string(1 + i % 8);
+      Commit(i % 2 == 0 ? "UPDATE subscriber SET vlr = vlr + " +
+                              std::to_string(i) + " WHERE sub_nbr = 's" + id +
+                              "'"
+                        : "INSERT INTO call_forwarding (s_id, num) VALUES (" +
+                              id + ", " + std::to_string(i) + ")");
+    }
+  }
+
+  std::unique_ptr<Ultraverse> live_;
+  std::unique_ptr<Ultraverse> sparse_;
+  std::shared_ptr<const HistorySnapshot> last_;
+};
+
+TEST_F(ExtendedSnapshotTest, ExtendedSnapshotsEqualFreshBuilds) {
+  Commit("CREATE TABLE subscriber (s_id INT PRIMARY KEY, sub_nbr VARCHAR, "
+         "vlr INT)");
+  Commit("CREATE TABLE call_forwarding (s_id INT, num INT)");
+  for (int s = 1; s <= 8; ++s) {
+    const std::string id = std::to_string(s);
+    Commit("INSERT INTO subscriber (s_id, sub_nbr, vlr) VALUES (" + id +
+           ", 's" + id + "', 0)");
+  }
+  const char* const app = R"JS(
+function Locate(nbr, location) {
+  SQL_exec("UPDATE subscriber SET vlr = " + location +
+           " WHERE sub_nbr = '" + nbr + "'");
+}
+)JS";
+  ASSERT_TRUE(sparse_->LoadApplication(app).ok());
+  ASSERT_TRUE(live_->LoadApplication(app).ok());
+  CommitTxn("Locate", "s2", 5);
+  Updates(0, 6);
+  CommitTxn("Locate", "s4", 9);
+  Updates(6, 6);
+  Checkpoint("plain appends");
+
+  // Plain appends extend: one new segment, the old ones shared.
+  const std::shared_ptr<const HistorySnapshot> before = last_;
+  Updates(12, 1);
+  EXPECT_EQ(last_->entry_storage.size(), before->entry_storage.size() + 1);
+  EXPECT_EQ(last_->entry_storage.front(), before->entry_storage.front());
+  EXPECT_EQ(last_->generation, before->generation);
+
+  // Publishes rewrite history in place: the next snapshot may not extend.
+  RetroOp op;
+  op.kind = RetroOp::Kind::kRemove;
+  op.index = 14;
+  Publish(op);
+  EXPECT_FALSE(SnapshotLive()) << "extended across a publish";
+  EXPECT_GT(last_->generation, before->generation);
+  Updates(13, 3);
+  Checkpoint("remove published");
+  op.kind = RetroOp::Kind::kChange;
+  op.index = 16;
+  op.new_sql = "UPDATE subscriber SET vlr = vlr + 1000 WHERE sub_nbr = 's3'";
+  op.new_stmt = *sql::Parser::ParseStatement(op.new_sql);
+  Publish(op);
+  Updates(16, 3);
+  Checkpoint("change published");
+  op.kind = RetroOp::Kind::kAdd;
+  op.index = 12;
+  op.new_sql = "INSERT INTO call_forwarding (s_id, num) VALUES (5, 555)";
+  op.new_stmt = *sql::Parser::ParseStatement(op.new_sql);
+  Publish(op);
+  Updates(19, 3);
+  Checkpoint("add published");
+
+  // An RI merge (s_id 7 becomes 70) re-canonicalizes the whole analysis.
+  const uint64_t merges = live_->analyzer()->merge_generation();
+  const uint64_t generation = last_->generation;
+  Commit("UPDATE subscriber SET s_id = 70 WHERE s_id = 7");
+  EXPECT_GT(live_->analyzer()->merge_generation(), merges);
+  EXPECT_GT(last_->generation, generation)
+      << "re-canonicalization must stop the next build from extending";
+  Commit("INSERT INTO call_forwarding (s_id, num) VALUES (70, 1)");
+  Updates(22, 4);
+  Checkpoint("RI merge");
+}
+
+TEST_F(ExtendedSnapshotTest, RecoveredHistorySnapshotsEqualFreshBuilds) {
+  const std::string dir = ::testing::TempDir();
+  const std::string live_wal = dir + "uv_mvcc_extend_live.wal";
+  const std::string sparse_wal = dir + "uv_mvcc_extend_sparse.wal";
+  std::filesystem::remove(live_wal);
+  std::filesystem::remove(sparse_wal);
+  ASSERT_TRUE(live_->AttachWal(live_wal).ok());
+  ASSERT_TRUE(sparse_->AttachWal(sparse_wal).ok());
+  Commit("CREATE TABLE subscriber (s_id INT PRIMARY KEY, sub_nbr VARCHAR, "
+         "vlr INT)");
+  Commit("CREATE TABLE call_forwarding (s_id INT, num INT)");
+  for (int s = 1; s <= 8; ++s) {
+    const std::string id = std::to_string(s);
+    Commit("INSERT INTO subscriber (s_id, sub_nbr, vlr) VALUES (" + id +
+           ", 's" + id + "', 0)");
+  }
+  Updates(0, 10);
+  RetroOp op;
+  op.kind = RetroOp::Kind::kRemove;
+  op.index = 13;
+  Publish(op);
+  Updates(10, 4);
+
+  // Restart both over their WALs. The recovered facade that snapshots at
+  // every commit took one snapshot before recovery, which recovery's
+  // in-place rewrite of the log must keep it from extending.
+  std::unique_ptr<Ultraverse> live = MakeFacade();
+  std::unique_ptr<Ultraverse> sparse = MakeFacade();
+  auto empty = live->SnapshotHistory();
+  ASSERT_TRUE(empty.ok());
+  ASSERT_TRUE(fault::RecoverInto(live_wal, live->db(), live->log()).ok());
+  ASSERT_TRUE(
+      fault::RecoverInto(sparse_wal, sparse->db(), sparse->log()).ok());
+  ASSERT_EQ(live->log()->size(), live_->log()->size());
+  EXPECT_GT(live->log()->generation(), (*empty)->generation);
+  live_ = std::move(live);
+  sparse_ = std::move(sparse);
+  last_ = *empty;
+  EXPECT_FALSE(SnapshotLive()) << "extended across WAL recovery";
+  Checkpoint("recovered");
+  Updates(14, 6);
+  Checkpoint("appends after recovery");
+  std::filesystem::remove(live_wal);
+  std::filesystem::remove(sparse_wal);
+}
+
+// A commit must not wait for the snapshot's O(horizon) copy: once the build
+// reaches its off-lock phase (the delayed failpoint), a writer on another
+// thread commits while the snapshot call is still inside the delay.
+TEST(MvccSnapshotTest, CommitDoesNotWaitForTheOffLockCopy) {
+  Ultraverse uv;
+  ASSERT_TRUE(
+      uv.ExecuteSql("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(uv.ExecuteSql("INSERT INTO t (id, v) VALUES (1, 1)").ok());
+  auto& registry = fault::FailpointRegistry::Global();
+  const char* const site = "whatif.snapshot.extend";
+  const uint64_t fires = registry.Fires(site);
+  fault::FailpointConfig delay;
+  delay.action = fault::FailAction::kDelay;
+  delay.delay_micros = 300000;
+  delay.max_fires = 1;
+  registry.Arm(site, delay);
+  std::atomic<bool> snapshot_returned{false};
+  std::thread analyst([&] {
+    auto snap = uv.SnapshotHistory();
+    EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+    snapshot_returned.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (registry.Fires(site) == fires &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const bool reached = registry.Fires(site) != fires;
+  EXPECT_TRUE(reached) << "the snapshot build never reached " << site;
+  if (reached) {
+    EXPECT_TRUE(uv.ExecuteSql("INSERT INTO t (id, v) VALUES (2, 2)").ok());
+    EXPECT_FALSE(snapshot_returned.load())
+        << "the commit waited for the snapshot's off-lock phase";
+  }
+  analyst.join();
+  registry.DisarmAll();
+  EXPECT_TRUE(snapshot_returned.load());
 }
 
 }  // namespace
