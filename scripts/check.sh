@@ -31,7 +31,9 @@
 #    OCCURRED" (a bench whose loop fails still exits 0), and the what-if
 #    benchmark's exact-repeat counts check
 #    (whatifbench/test_counts_repeat.py), which also proves
-#    whatifbench/whatif_bench.cc still compiles against the engine.
+#    whatifbench/whatif_bench.cc still compiles against the engine, and a
+#    5-second traced benchmark run on tpcc-chain and tatp-mixed that must
+#    exit 0.
 # 2. asan  — AddressSanitizer build running the observability + oracle +
 #    fault + vm + explain + mvcc + server labels (the suites that exercise
 #    replay/staging over shared CoW snapshots, WAL recovery,
@@ -74,6 +76,12 @@ run_plain() {
   run_metrics_lint
   echo "== plain: what-if benchmark builds, counts repeat exactly =="
   python3 whatifbench/test_counts_repeat.py
+  echo "== plain: traced what-if benchmark exits 0 =="
+  # whatif_bench exits 1 without an incorrect verdict when its set-up dies
+  # or a traced window drops spans or holds fewer than 2 what-ifs.
+  for w in tpcc-chain tatp-mixed; do
+    python3 whatifbench/run.py --workload "$w" --seed 1 --seconds 5 --trace 1
+  done
   echo "== plain: crash-point sweep smoke (~30s) =="
   SWEEP_DIR="$(mktemp -d)"
   build/tools/fuzz_whatif --crash-points --seed 1 --histories 0 \

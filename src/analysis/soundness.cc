@@ -20,35 +20,17 @@ bool ColumnsContained(const core::ColumnSet& dyn, const core::ColumnSet& stat,
 
 bool RowsContained(const core::RowSet& dyn, const core::RowSet& stat,
                    const char* label, std::string* breach) {
-  for (const auto& [col, vals] : dyn.cols) {
+  for (const auto& [col, dview] : dyn.cols) {
     auto it = stat.cols.find(col);
     if (it == stat.cols.end()) {
       *breach = std::string(label) + " row key \"" + col +
                 "\" accessed dynamically but absent from the static summary";
       return false;
     }
-    const auto& svals = it->second;
-    if (vals.wildcard && !svals.wildcard) {
-      *breach = std::string(label) + " row key \"" + col +
-                "\" is a dynamic wildcard but statically value-bounded";
-      return false;
-    }
-    if (!svals.wildcard) {
-      for (const auto& v : vals.values) {
-        if (!svals.values.count(v)) {
-          *breach = std::string(label) + " row \"" + col + "\"=" + v +
-                    " accessed dynamically but not statically predicted";
-          return false;
-        }
-      }
-    }
-    // Predicate-region containment (DESIGN.md §15): the effective row view
-    // of an entry is (wildcard ? ⊤ : points) ∩ region on both sides, and the
-    // dynamic view must be contained in the static one. This is the row-
-    // granularity half of the soundness invariant the predicate pre-filter
-    // relies on.
-    core::ValueRegion dview = core::RowSet::TypedRegionOf(vals);
-    core::ValueRegion sview = core::RowSet::TypedRegionOf(svals);
+    // Predicate-region containment (DESIGN.md §15): the dynamic region of
+    // every key must lie inside the static one. This is the row-granularity
+    // half of the soundness invariant the predicate pre-filter relies on.
+    const core::ValueRegion& sview = it->second;
     if (!dview.ContainedIn(sview)) {
       *breach = std::string(label) + " row key \"" + col +
                 "\" dynamic region " + dview.ToString() +

@@ -38,19 +38,18 @@ struct RegionAccumulators {
     return rw.rr.RegionIntersects(w) || rw.wr.RegionIntersects(r) ||
            rw.wr.RegionIntersects(rw.overwrites ? w : ow);
   }
-  /// Evidence string for a refuted candidate: the candidate's typed row
-  /// views against the accumulated views on the keys it touches.
+  /// Evidence string for a refuted candidate: the candidate's row regions
+  /// against the accumulated regions on the keys it touches.
   std::string Describe(const QueryRW& rw) const {
     std::string out;
     auto add = [&](const char* tag, const RowSet& mine, const RowSet& acc) {
-      for (const auto& [col, vals] : mine.cols) {
+      for (const auto& [col, region] : mine.cols) {
         auto it = acc.cols.find(col);
         if (it == acc.cols.end()) continue;
         if (out.size() > 160) return;
         if (!out.empty()) out += "; ";
-        out += std::string(tag) + " " + col + " " +
-               RowSet::TypedRegionOf(vals).ToString() + " vs members " +
-               RowSet::TypedRegionOf(it->second).ToString();
+        out += std::string(tag) + " " + col + " " + region.ToString() +
+               " vs members " + it->second.ToString();
       }
     };
     add("reads", rw.rr, w);
@@ -253,19 +252,19 @@ std::string_view KeyTable(std::string_view key, bool is_schema) {
 }
 
 /// RI values query `rw` touches in the table of cell column `column`, from
-/// its row set `rs` (keys "t.<ri_col>" or "_S.t"). nullptr means every row:
-/// a wildcard entry, or no row info recorded (conservative). Runs once per
-/// (query, cell) in both conflict passes, so it compares views and never
-/// allocates.
+/// its row set `rs` (keys "t.<ri_col>" or "_S.t"): the points of a
+/// points-only region. nullptr means every row: a ⊤ or range region, or no
+/// row info recorded (conservative). Runs once per (query, cell) in both
+/// conflict passes, so it compares views and never allocates.
 const std::set<std::string>* CellValues(const RowSet& rs,
                                         std::string_view column) {
   const bool is_schema = column.starts_with("_S.");
   const std::string_view table = KeyTable(column, is_schema);
-  for (const auto& [key, vals] : rs.cols) {
+  for (const auto& [key, region] : rs.cols) {
     const std::string_view k = key;
     if (k.starts_with("_S.") != is_schema) continue;
     if (KeyTable(k, is_schema) != table) continue;
-    return vals.wildcard ? nullptr : &vals.values;
+    return region.IsPointsOnly() ? &region.points : nullptr;
   }
   return nullptr;
 }

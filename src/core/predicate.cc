@@ -81,7 +81,16 @@ std::optional<ValueInterval> ValueInterval::Meet(
 }
 
 bool ValueInterval::Intersects(const ValueInterval& other) const {
-  return Meet(other).has_value();
+  // The meet runs from the greatest lower bound to the least upper bound,
+  // so it is empty exactly when some lower bound of the two intervals lies
+  // past some upper bound, or meets it where either end is open.
+  auto past = [](const ValueInterval& l, const ValueInterval& u) {
+    if (!l.lo || !u.hi) return false;
+    int c = l.lo->Compare(*u.hi);
+    return c > 0 || (c == 0 && !(l.lo_incl && u.hi_incl));
+  };
+  return !past(*this, *this) && !past(*this, other) && !past(other, *this) &&
+         !past(other, other);
 }
 
 bool ValueInterval::Covers(const ValueInterval& other) const {
@@ -147,7 +156,21 @@ bool ValueRegion::Intersects(const ValueRegion& other) const {
   // ⊤ ∩ ∅ is empty: an empty region matches no row, whatever faces it.
   if (IsEmptySet() || other.IsEmptySet()) return false;
   if (top || other.top) return true;
-  return !MeetWith(other).IsEmptySet();
+  for (const auto& p : points) {
+    if (other.ContainsEncoded(p)) return true;
+  }
+  if (!intervals.empty()) {
+    // Shared points were found above: only this side's intervals remain.
+    for (const auto& p : other.points) {
+      if (IntervalsContainEncoded(p)) return true;
+    }
+  }
+  for (const auto& a : intervals) {
+    for (const auto& b : other.intervals) {
+      if (a.Intersects(b)) return true;
+    }
+  }
+  return false;
 }
 
 bool ValueRegion::Contains(const Value& v) const {
@@ -160,8 +183,10 @@ bool ValueRegion::Contains(const Value& v) const {
 }
 
 bool ValueRegion::ContainsEncoded(const std::string& enc) const {
-  if (top) return true;
-  if (points.count(enc)) return true;
+  return top || points.count(enc) > 0 || IntervalsContainEncoded(enc);
+}
+
+bool ValueRegion::IntervalsContainEncoded(const std::string& enc) const {
   if (intervals.empty()) return false;
   Value v;
   if (!Value::Decode(enc, &v)) return true;  // conservative: assume member

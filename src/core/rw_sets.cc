@@ -35,62 +35,45 @@ bool ColumnSet::Intersects(const ColumnSet& other) const {
 }
 
 void RowSet::Merge(const RowSet& other) {
-  for (const auto& [col, vals] : other.cols) {
-    auto [it, fresh] = cols.emplace(col, vals);
-    if (fresh) continue;
-    Vals& mine = it->second;
-    mine.region.MergeWith(vals.region);
-    mine.wildcard = mine.wildcard || vals.wildcard;
-    mine.values.insert(vals.values.begin(), vals.values.end());
+  for (const auto& [col, region] : other.cols) {
+    auto [it, fresh] = cols.emplace(col, region);
+    if (!fresh) it->second.MergeWith(region);
   }
 }
 
 void RowSet::AddConstrained(const std::string& column,
                             const std::optional<std::set<std::string>>& values,
                             const ValueRegion& region) {
-  auto [it, fresh] = cols.emplace(column, Vals{});
-  Vals& v = it->second;
-  if (fresh) {
-    v.region = region;
-  } else {
-    v.region.MergeWith(region);
-  }
-  if (values) {
-    v.values.insert(values->begin(), values->end());
-  } else {
-    v.wildcard = true;
-  }
-}
-
-ValueRegion RowSet::TypedRegionOf(const Vals& v) {
-  if (v.wildcard) return v.region;
-  ValueRegion classic = ValueRegion::OfPoints(v.values);
-  return classic.MeetWith(v.region);
+  ValueRegion view =
+      values ? ValueRegion::OfPoints(*values).MeetWith(region) : region;
+  auto [it, fresh] = cols.try_emplace(column, std::move(view));
+  if (!fresh) it->second.MergeWith(view);
 }
 
 bool RowSet::RegionIntersects(const RowSet& other) const {
-  for (const auto& [col, vals] : cols) {
+  for (const auto& [col, region] : cols) {
     auto it = other.cols.find(col);
-    if (it == other.cols.end()) continue;
-    if (TypedRegionOf(vals).Intersects(TypedRegionOf(it->second))) return true;
+    if (it != other.cols.end() && region.Intersects(it->second)) return true;
   }
   return false;
 }
 
 size_t QueryRW::ApproxLogBytes() const {
   // Ultraverse's compact dependency log: column ids (2 bytes each against a
-  // catalog dictionary) + RI values.
+  // catalog dictionary) + RI values; a ⊤ or range key is one flag byte.
   size_t bytes = 4;  // entry header
   bytes += 2 * (rc.items.size() + wc.items.size());
-  for (const auto& [col, vals] : rr.cols) {
-    (void)col;
-    bytes += vals.wildcard ? 1 : 0;
-    for (const auto& v : vals.values) bytes += std::min<size_t>(v.size(), 9);
-  }
-  for (const auto& [col, vals] : wr.cols) {
-    (void)col;
-    bytes += vals.wildcard ? 1 : 0;
-    for (const auto& v : vals.values) bytes += std::min<size_t>(v.size(), 9);
+  for (const RowSet* rows : {&rr, &wr}) {
+    for (const auto& [col, region] : rows->cols) {
+      (void)col;
+      if (!region.IsPointsOnly()) {
+        ++bytes;
+        continue;
+      }
+      for (const auto& v : region.points) {
+        bytes += std::min<size_t>(v.size(), 9);
+      }
+    }
   }
   return bytes;
 }
@@ -1201,20 +1184,23 @@ void QueryAnalyzer::CanonicalizeRowSets(QueryRW* rw) {
     return bar == std::string::npos ? key : key.substr(bar + 1);
   };
   auto canon = [&](RowSet* rs) {
-    for (auto& [col, vals] : rs->cols) {
-      std::set<std::string> fixed;
-      for (const auto& v : vals.values) {
-        fixed.insert(enc_of(Find(col + "|" + v)));
+    for (auto& [col, region] : rs->cols) {
+      if (region.top) continue;
+      if (region.IsPointsOnly()) {
+        std::set<std::string> fixed;
+        for (const auto& v : region.points) {
+          fixed.insert(enc_of(Find(col + "|" + v)));
+        }
+        region.points = std::move(fixed);
+        continue;
       }
-      vals.values = std::move(fixed);
-      if (vals.region.top) continue;
-      // Close the typed region under RI merge classes: a merged value
-      // refers to the same physical row under every one of its names, so
-      // whenever any member of a class falls inside the region, every
-      // member (and the class representative the values above were
-      // rewritten to) must be in it too. Closed regions make canonical
-      // overlap equivalent to raw overlap, keeping RegionIntersects
-      // pruning sound across UPDATE-of-RI renames.
+      // Close a region with intervals under RI merge classes: a merged
+      // value refers to the same physical row under every one of its
+      // names, so whenever any member of a class falls inside the region,
+      // every member (and the class representative the points-only
+      // regions above were rewritten to) must be in it too. Closed regions
+      // make canonical overlap equivalent to raw overlap, keeping
+      // RegionIntersects pruning sound across UPDATE-of-RI renames.
       const std::string prefix = col + "|";
       std::map<std::string, std::vector<std::string>> classes;
       for (const auto& [key, parent] : merge_parent_) {
@@ -1226,13 +1212,13 @@ void QueryAnalyzer::CanonicalizeRowSets(QueryRW* rw) {
         members.push_back(enc_of(root));
         bool touches = false;
         for (const auto& m : members) {
-          if (vals.region.ContainsEncoded(m)) {
+          if (region.ContainsEncoded(m)) {
             touches = true;
             break;
           }
         }
         if (!touches) continue;
-        for (const auto& m : members) vals.region.points.insert(m);
+        for (const auto& m : members) region.points.insert(m);
       }
     }
   };

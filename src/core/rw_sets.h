@@ -28,49 +28,33 @@ struct ColumnSet {
   bool empty() const { return items.empty(); }
 };
 
-/// Row-wise read/write sets (§4.3): per RI column, either a wildcard
-/// (any row) or a set of encoded RI values. The column is qualified
-/// ("Users.uid") or a schema pseudo-row ("_S.Users").
+/// Row-wise read/write sets (§4.3): per RI column, the typed region of
+/// RI values the query touches (DESIGN.md §15) — ⊤ (any row), a finite
+/// set of encoded RI values, typed intervals, or a union of those. The
+/// column is qualified ("Users.uid") or a schema pseudo-row ("_S.Users").
+/// Every contribution joins into its key, so the result does not depend
+/// on the order of the contributions.
 struct RowSet {
-  struct Vals {
-    bool wildcard = false;
-    std::set<std::string> values;  // canonical encoded sql::Value
-    /// Symbolic predicate region (DESIGN.md §15). The entry's effective
-    /// row view is (wildcard ? ⊤ : values) ∩ region; the default ⊤
-    /// region keeps every legacy producer sound. Contributions from
-    /// successive statements join via AddConstrained / Merge.
-    ValueRegion region;
-  };
-  std::map<std::string, Vals> cols;
+  std::map<std::string, ValueRegion> cols;
 
   void AddWildcard(const std::string& column) {
-    Vals& v = cols[column];
-    v.wildcard = true;
-    v.region.WidenToTop();
+    cols[column] = ValueRegion::Top();
   }
-  void AddValue(const std::string& column, std::string value_enc) {
-    Vals& v = cols[column];
-    v.region.AddPoint(value_enc);  // no-op on a ⊤ region
-    v.values.insert(std::move(value_enc));
+  void AddValue(const std::string& column, const std::string& value_enc) {
+    cols.try_emplace(column, ValueRegion::EmptySet())
+        .first->second.AddPoint(value_enc);
   }
-  /// One statement's full row contribution for `column`: the classic RI
-  /// value set (nullopt = any row) plus the predicate region extracted
-  /// from the same WHERE clause. A fresh entry adopts the region;
-  /// repeated contributions join (the entry's view is the union of the
-  /// per-statement views, over-approximated component-wise).
+  /// One statement's row contribution for `column`: the classic RI values
+  /// (nullopt = any row) met with the predicate region extracted from the
+  /// same WHERE clause, joined into the key.
   void AddConstrained(const std::string& column,
                       const std::optional<std::set<std::string>>& values,
                       const ValueRegion& region);
-  /// Effective typed row view of one entry.
-  static ValueRegion TypedRegionOf(const Vals& v);
   void Merge(const RowSet& other);
-  /// True when the typed row views of some shared key overlap. Two
-  /// wildcards with provably disjoint regions (e.g. id<10 vs id>=10) do
-  /// NOT intersect. An overlap implies the classic one (a shared RI value,
-  /// or a wildcard facing a non-empty entry), since a value set's view
-  /// holds only its own values. Sound on canonicalized sets
-  /// (CanonicalizeRowSets closes regions under RI merges) and on raw
-  /// same-analyzer pairs.
+  /// True when the regions of some shared key overlap. Two range keys
+  /// with provably disjoint regions (e.g. id<10 vs id>=10) do NOT
+  /// intersect. Sound on canonicalized sets (CanonicalizeRowSets makes
+  /// merged RI values compare equal) and on raw same-analyzer pairs.
   bool RegionIntersects(const RowSet& other) const;
   bool empty() const { return cols.empty(); }
 };
@@ -240,7 +224,9 @@ class QueryAnalyzer {
   Result<QueryRW> AnalyzeEntry(const sql::LogEntry& entry);
 
   /// Rewrites RI values in `rw` to their merged-RI representatives under
-  /// the current union-find (§4.3 "Merging RI values").
+  /// the current union-find (§4.3 "Merging RI values"): the points of a
+  /// points-only region become representatives; any other non-⊤ region
+  /// is closed under the merge classes it touches.
   void CanonicalizeRowSets(QueryRW* rw);
 
   /// Number of effective RI merges so far. CanonicalizeRowSets is a pure

@@ -296,12 +296,9 @@ Status Ultraverse::LoadApplication(const std::string& source,
     sql::LogEntry entry;
     entry.stmt = tt.create_procedure;
     entry.sql = tt.ToSqlText();
-    entry.timestamp = db_.NextTimestamp();
-    sql::ExecContext ctx;
-    Result<sql::ExecResult> r =
-        db_.Execute(*entry.stmt, log_.size() + 1, &ctx);
-    if (!r.ok()) return r.status();
-    UV_ASSIGN_OR_RETURN(uint64_t seq, CommitEntry(std::move(entry)));
+    sql::ExecResult unused;
+    UV_ASSIGN_OR_RETURN(uint64_t seq,
+                        ExecuteAndCommit(std::move(entry), &unused));
     if (seq != 0) UV_RETURN_NOT_OK(wal_->WaitDurable(seq));
     transpiled_[tt.function] = std::move(tt);
   }
@@ -362,45 +359,45 @@ Result<uint64_t> Ultraverse::CommitEntry(sql::LogEntry entry) {
   return durability_seq;
 }
 
+Result<uint64_t> Ultraverse::ExecuteAndCommit(sql::LogEntry entry,
+                                             sql::ExecResult* out) {
+  sql::ExecContext ctx;
+  ctx.StartRecording(&entry.nondet);
+  std::lock_guard<std::shared_mutex> g(commit_mu_);
+  // The logical clock is plain state guarded by commit_mu_ — stamp under
+  // the lock so concurrent committers serialize (timestamps then follow
+  // commit order, which replay assumes anyway).
+  entry.timestamp = db_.NextTimestamp();
+  const uint64_t commit_index = log_.size() + 1;
+  // A failed WAL append unapplies the statement, and row-level rollback
+  // cannot undo DDL: keep a CoW savepoint (O(tables) page shares) to
+  // return to instead. DDL nested in a CALL is not covered.
+  std::unique_ptr<sql::Database> savepoint;
+  if (wal_ && sql::IsDdl(entry.stmt->kind)) savepoint = db_.Clone();
+  Result<sql::ExecResult> res = db_.Execute(*entry.stmt, commit_index, &ctx);
+  if (!res.ok()) {
+    db_.RollbackToIndex(commit_index - 1);
+    return res.status();
+  }
+  *out = std::move(*res);
+  Result<uint64_t> seq = CommitEntry(std::move(entry));
+  // Only a failure before the log append leaves the entry uncommitted.
+  if (!seq.ok() && savepoint && log_.size() < commit_index) {
+    db_.RestoreSavepoint(std::move(savepoint));
+  }
+  return seq;
+}
+
 Result<sql::ExecResult> Ultraverse::ExecuteSql(const std::string& sql_text) {
   UV_ASSIGN_OR_RETURN(sql::StatementPtr stmt,
                       sql::Parser::ParseStatement(sql_text));
   sql::LogEntry entry;
   entry.sql = sql_text;
   entry.stmt = stmt;
-  sql::ExecContext ctx;
-  ctx.StartRecording(&entry.nondet);
   clock_.ChargeRoundTrip();
-  uint64_t durability_seq = 0;
   sql::ExecResult out;
-  {
-    std::lock_guard<std::shared_mutex> g(commit_mu_);
-    // The logical clock is plain state guarded by commit_mu_ — stamp under
-    // the lock so concurrent committers serialize (timestamps then follow
-    // commit order, which replay assumes anyway).
-    entry.timestamp = db_.NextTimestamp();
-    const uint64_t commit_index = log_.size() + 1;
-    // A failed WAL append unapplies the statement, and row-level rollback
-    // cannot undo DDL: keep a CoW savepoint (O(tables) page shares) to
-    // return to instead. DDL nested in a CALL is not covered.
-    std::unique_ptr<sql::Database> savepoint;
-    if (wal_ && sql::IsDdl(stmt->kind)) savepoint = db_.Clone();
-    Result<sql::ExecResult> res = db_.Execute(*stmt, commit_index, &ctx);
-    if (!res.ok()) {
-      db_.RollbackToIndex(commit_index - 1);
-      return res.status();
-    }
-    out = std::move(*res);
-    Result<uint64_t> seq = CommitEntry(std::move(entry));
-    if (!seq.ok()) {
-      // Only a failure before the log append leaves the entry uncommitted.
-      if (savepoint && log_.size() < commit_index) {
-        db_.RestoreSavepoint(std::move(savepoint));
-      }
-      return seq.status();
-    }
-    durability_seq = *seq;
-  }
+  UV_ASSIGN_OR_RETURN(uint64_t durability_seq,
+                      ExecuteAndCommit(std::move(entry), &out));
   // Group-commit durability wait outside the commit lock: a failed group
   // fsync reports here — to every committer in the group (see
   // Wal::WaitDurable), not just whichever one triggered the sync.

@@ -315,6 +315,12 @@ class Ultraverse {
   /// no WAL). Moving the fsync wait off the commit critical section is
   /// what lets concurrent committers share one group fsync.
   Result<uint64_t> CommitEntry(sql::LogEntry entry);
+  /// Executes `entry.stmt` as the next commit and logs it, all under
+  /// commit_mu_: stamps the timestamp, records nondeterminism, and on any
+  /// failure leaves the commit unapplied — row-level rollback, or the CoW
+  /// savepoint a top-level DDL statement takes when a WAL is attached.
+  /// Returns CommitEntry's durability seq; `out` receives the result.
+  Result<uint64_t> ExecuteAndCommit(sql::LogEntry entry, sql::ExecResult* out);
   Status InterpreterReplayExecutor(sql::Database* target,
                                    const sql::LogEntry& entry,
                                    uint64_t commit_index,

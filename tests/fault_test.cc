@@ -935,6 +935,26 @@ function Deposit(owner, amount) {
   check("DROP TABLE", [&] {
     return uv.ExecuteSql("DROP TABLE extra").status();
   });
+  // LoadApplication commits each transpiled procedure as DDL: a failed
+  // append must leave it out of the live catalog too, not just the log.
+  // The fingerprint covers rows only; the diff also compares the catalog.
+  const char* kWithdraw = R"JS(
+function Withdraw(owner, amount) {
+  SQL_exec("UPDATE accounts SET balance = balance - " + amount +
+           " WHERE owner = '" + owner + "'");
+}
+)JS";
+  check("LoadApplication", [&] {
+    Status st = uv.LoadApplication(kWithdraw);
+    auto recovered = RecoverState(path);
+    EXPECT_TRUE(recovered.ok()) << recovered.status().message();
+    if (recovered.ok()) {
+      sql::StateDiff diff =
+          sql::DiffDatabases(*recovered->db, *uv.db(), "recovered", "live");
+      EXPECT_TRUE(diff.equal()) << diff.ToString();
+    }
+    return st;
+  });
   fs::remove(path);
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+#include <random>
+
 #include "core/rw_sets.h"
 #include "sqldb/parser.h"
 
@@ -90,9 +95,9 @@ TEST_F(RwSetsTest, RowWiseExtractsRiValueFromWhere) {
   QueryRW rw = Analyze("UPDATE users SET email = 'x' WHERE uid = 'alice01'");
   auto it = rw.wr.cols.find("users.uid");
   ASSERT_NE(it, rw.wr.cols.end());
-  EXPECT_FALSE(it->second.wildcard);
-  EXPECT_EQ(it->second.values.size(), 1u);
-  EXPECT_EQ(*it->second.values.begin(), sql::Value::String("alice01").Encode());
+  EXPECT_TRUE(it->second.IsPointsOnly());
+  EXPECT_EQ(it->second.points.size(), 1u);
+  EXPECT_EQ(*it->second.points.begin(), sql::Value::String("alice01").Encode());
 }
 
 TEST_F(RwSetsTest, RowWiseWildcardWithoutRiPredicate) {
@@ -100,29 +105,29 @@ TEST_F(RwSetsTest, RowWiseWildcardWithoutRiPredicate) {
   QueryRW rw = Analyze("UPDATE users SET nick = 'x' WHERE nick = 'Bob'");
   auto it = rw.wr.cols.find("users.uid");
   ASSERT_NE(it, rw.wr.cols.end());
-  EXPECT_TRUE(it->second.wildcard);
+  EXPECT_TRUE(it->second.IsTop());
 }
 
 TEST_F(RwSetsTest, OrUnionsAndInListsEnumerate) {
   Analyze("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
   QueryRW rw = Analyze("DELETE FROM t WHERE id = 1 OR id = 2");
-  EXPECT_EQ(rw.wr.cols.at("t.id").values.size(), 2u);
+  EXPECT_EQ(rw.wr.cols.at("t.id").points.size(), 2u);
   QueryRW rw_in = Analyze("DELETE FROM t WHERE id IN (3, 4, 5)");
-  EXPECT_EQ(rw_in.wr.cols.at("t.id").values.size(), 3u);
+  EXPECT_EQ(rw_in.wr.cols.at("t.id").points.size(), 3u);
 }
 
 TEST_F(RwSetsTest, OrWithUnresolvedDisjunctIsWildcard) {
   Analyze("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
   QueryRW rw = Analyze("DELETE FROM t WHERE id = 1 OR v = 9");
-  EXPECT_TRUE(rw.wr.cols.at("t.id").wildcard) << "§4.3 OR semantics";
+  EXPECT_TRUE(rw.wr.cols.at("t.id").IsTop()) << "§4.3 OR semantics";
 }
 
 TEST_F(RwSetsTest, AndPrefersTheRiConjunct) {
   Analyze("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
   QueryRW rw = Analyze("DELETE FROM t WHERE v > 3 AND id = 7");
   const auto& vals = rw.wr.cols.at("t.id");
-  EXPECT_FALSE(vals.wildcard);
-  EXPECT_EQ(vals.values.size(), 1u);
+  EXPECT_TRUE(vals.IsPointsOnly());
+  EXPECT_EQ(vals.points.size(), 1u);
 }
 
 TEST_F(RwSetsTest, AliasRiColumnTranslates) {
@@ -134,9 +139,9 @@ TEST_F(RwSetsTest, AliasRiColumnTranslates) {
   Analyze("INSERT INTO users VALUES ('bob99', 'Bob')");
   QueryRW rw = Analyze("DELETE FROM users WHERE nickname = 'Bob'");
   const auto& vals = rw.wr.cols.at("users.uid");
-  EXPECT_FALSE(vals.wildcard);
-  ASSERT_EQ(vals.values.size(), 1u);
-  EXPECT_EQ(*vals.values.begin(), sql::Value::String("bob99").Encode());
+  EXPECT_TRUE(vals.IsPointsOnly());
+  ASSERT_EQ(vals.points.size(), 1u);
+  EXPECT_EQ(*vals.points.begin(), sql::Value::String("bob99").Encode());
 }
 
 TEST_F(RwSetsTest, UnseenAliasValueIsWildcard) {
@@ -144,7 +149,7 @@ TEST_F(RwSetsTest, UnseenAliasValueIsWildcard) {
   Analyze("CREATE TABLE users (uid VARCHAR(16) PRIMARY KEY,"
           " nickname VARCHAR(16))");
   QueryRW rw = Analyze("DELETE FROM users WHERE nickname = 'Ghost'");
-  EXPECT_TRUE(rw.wr.cols.at("users.uid").wildcard);
+  EXPECT_TRUE(rw.wr.cols.at("users.uid").IsTop());
 }
 
 TEST_F(RwSetsTest, MergedRiValuesCanonicalizeEqual) {
@@ -174,8 +179,8 @@ TEST_F(RwSetsTest, CallMergesBothBranchesOfProcedure) {
   EXPECT_TRUE(rw.wc.Contains("b.v"));
   EXPECT_TRUE(rw.rc.Contains("_S.p")) << "CALL reads the procedure schema";
   // Row-wise: the argument concretizes the RI value on both tables.
-  EXPECT_FALSE(rw.wr.cols.at("a.id").wildcard);
-  EXPECT_EQ(*rw.wr.cols.at("a.id").values.begin(),
+  EXPECT_TRUE(rw.wr.cols.at("a.id").IsPointsOnly());
+  EXPECT_EQ(*rw.wr.cols.at("a.id").points.begin(),
             sql::Value::Int(5).Encode());
 }
 
@@ -188,7 +193,7 @@ TEST_F(RwSetsTest, ProcedureSelectIntoVarMakesLaterUseUnknown) {
       " UPDATE t SET v = 0 WHERE id = w;"
       " END");
   QueryRW rw = Analyze("CALL p(3)");
-  EXPECT_TRUE(rw.wr.cols.at("t.id").wildcard)
+  EXPECT_TRUE(rw.wr.cols.at("t.id").IsTop())
       << "a SELECT-INTO variable is unknown statically -> wildcard rows";
 }
 
@@ -248,6 +253,95 @@ TEST(RowSetTest, IntersectionSemantics) {
   other_col.AddWildcard("u.id");
   EXPECT_FALSE(other_col.RegionIntersects(a))
       << "different columns never overlap";
+}
+
+TEST(RowSetTest, ContributionsCommute) {
+  // A statement's row contributions join into their key, so applying them
+  // in any order must give the same RowSet. Equality is observed through
+  // RegionIntersects against probe sets covering every value the
+  // contributions name, the gaps between them and both unbounded ends.
+  auto i = [](int64_t v) { return sql::Value::Int(v).Encode(); };
+  auto iv = [](std::optional<int64_t> lo, std::optional<int64_t> hi) {
+    ValueInterval out;
+    if (lo) out.lo = sql::Value::Int(*lo);
+    if (hi) out.hi = sql::Value::Int(*hi);
+    return ValueRegion::OfInterval(out);  // open at both ends
+  };
+  const std::vector<std::string> keys = {"t.id", "u.id"};
+  std::vector<RowSet> probes;
+  for (const auto& key : keys) {
+    for (int64_t v = -1; v <= 12; ++v) {
+      probes.emplace_back().AddValue(key, i(v));
+      probes.emplace_back().AddConstrained(key, std::nullopt, iv(v, v + 1));
+    }
+    probes.emplace_back().AddConstrained(key, std::nullopt,
+                                         iv(std::nullopt, -1));
+    probes.emplace_back().AddConstrained(key, std::nullopt,
+                                         iv(12, std::nullopt));
+  }
+  auto observe = [&](const RowSet& rs) {
+    std::string bits;
+    for (const auto& key : keys) bits += rs.cols.count(key) ? 'k' : '-';
+    for (const auto& probe : probes) {
+      bits += probe.RegionIntersects(rs) ? '1' : '0';
+    }
+    return bits;
+  };
+
+  std::mt19937 rng(25);
+  auto pick = [&rng](int n) { return int(rng() % unsigned(n)); };
+  using Contribution = std::function<void(RowSet*)>;
+  auto random_contribution = [&]() -> Contribution {
+    const std::string key = keys[pick(4) == 0 ? 1 : 0];
+    const int64_t a = pick(10);
+    const int64_t b = a + 1 + pick(4);
+    switch (pick(4)) {
+      case 0:
+        return [=](RowSet* rs) { rs->AddValue(key, i(a)); };
+      case 1:
+        return [=](RowSet* rs) { rs->AddWildcard(key); };
+      case 2: {
+        // Resolved values met with a region that may exclude some of them.
+        std::set<std::string> values = {i(a), i(b)};
+        ValueRegion region = pick(2) ? ValueRegion::Top() : iv(a - 1, b - 1);
+        return [=](RowSet* rs) { rs->AddConstrained(key, values, region); };
+      }
+      default: {
+        // Unresolved values: the predicate region alone bounds the rows.
+        ValueRegion region = iv(a, b);
+        if (pick(2)) region.MergeWith(ValueRegion::OfPoints({i(b + 2)}));
+        return [=](RowSet* rs) {
+          rs->AddConstrained(key, std::nullopt, region);
+        };
+      }
+    }
+  };
+  for (int round = 0; round < 300; ++round) {
+    std::vector<Contribution> seq(2 + pick(3));
+    for (auto& c : seq) c = random_contribution();
+    std::vector<size_t> order(seq.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::string first;
+    do {
+      RowSet rs;
+      for (size_t k : order) seq[k](&rs);
+      const std::string seen = observe(rs);
+      if (first.empty()) first = seen;
+      EXPECT_EQ(seen, first) << "round " << round;
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+
+  // The shape that depended on the order: a point, then a range whose
+  // values are unresolved, must not widen to ⊤.
+  RowSet value_first, range_first;
+  value_first.AddValue("t.id", i(5));
+  value_first.AddConstrained("t.id", std::nullopt, iv(0, 10));
+  range_first.AddConstrained("t.id", std::nullopt, iv(0, 10));
+  range_first.AddValue("t.id", i(5));
+  EXPECT_EQ(observe(value_first), observe(range_first));
+  RowSet far;
+  far.AddValue("t.id", i(20));
+  EXPECT_FALSE(value_first.RegionIntersects(far));
 }
 
 }  // namespace
