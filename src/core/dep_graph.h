@@ -80,9 +80,8 @@ struct ReplayPlan {
   std::set<std::string> mutated_tables;
   std::set<std::string> consulted_tables;
 
-  /// True when the plan involves schema (DDL) replay: the engine must then
-  /// rebuild the temporary database from a checkpoint instead of undoing
-  /// table journals.
+  /// True when the plan involves schema (DDL) replay: table journals
+  /// cannot undo it, so the engine re-executes the history naively.
   bool needs_schema_rebuild = false;
 
   /// When DependencyOptions::record_exclusions is set: exclusions[j]

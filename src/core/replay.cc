@@ -318,6 +318,13 @@ void TallyVerdictMetrics(const obs::WhatIfReport& report) {
   }
 }
 
+/// Shared lock on `mu` when the caller passed one, else no lock: an
+/// analyze-only run reads an immutable snapshot.
+std::shared_lock<std::shared_mutex> SharedLockIfSet(std::shared_mutex* mu) {
+  return mu ? std::shared_lock<std::shared_mutex>(*mu)
+            : std::shared_lock<std::shared_mutex>();
+}
+
 const char* RetroOpName(RetroOp::Kind kind) {
   switch (kind) {
     case RetroOp::Kind::kAdd:
@@ -487,6 +494,24 @@ class RetroactiveEngine::ReportRecorder {
   uint64_t mark_cpu_ = 0;
 };
 
+bool RetroactiveEngine::UndoesTrimmedCommit(const RetroOp& op,
+                                            const ReplayPlan& plan) const {
+  uint64_t trimmed = 0;
+  {
+    // Shared lock: checkpoints advance trimmed_before() under the
+    // exclusive side of the same mutex.
+    auto lock = SharedLockIfSet(options_.db_mutex);
+    for (const auto& t : plan.mutated_tables) {
+      const sql::Table* table = db_->FindTable(t);
+      if (table) trimmed = std::max(trimmed, table->trimmed_before());
+    }
+  }
+  // The target (unless it is an add) and every member are rolled back;
+  // members ascend, so the first is the oldest.
+  if (op.kind != RetroOp::Kind::kAdd && op.index < trimmed) return true;
+  return !plan.replay_indices.empty() && plan.replay_indices.front() < trimmed;
+}
+
 Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
                                            ReportRecorder* rec,
                                            ReplayStats* out) {
@@ -522,10 +547,7 @@ Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
   // the same fresh ids and NOW() values in every replay mode (DESIGN.md §9).
   {
     // Shared lock: live inserts mutate the auto-increment map concurrently.
-    std::shared_lock<std::shared_mutex> seed_lock;
-    if (options_.db_mutex) {
-      seed_lock = std::shared_lock<std::shared_mutex>(*options_.db_mutex);
-    }
+    auto seed_lock = SharedLockIfSet(options_.db_mutex);
     temp_db_->SeedAutoIncrementFloor(db_->auto_increment_state());
     temp_db_->SetLogicalTime(db_->logical_time());
   }
@@ -563,21 +585,10 @@ Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
   if (options_.publish) {
     // Adopt everything: tables present on either side (a table the
     // rewritten history never creates must disappear from the live
-    // database) plus the object catalog. Exclusive from the epoch conflict
-    // check through the swap, so no commit slips in between.
+    // database) plus the object catalog. The journals of the adopted
+    // tables follow the rewritten log's indexing, so they need no reset.
     std::unique_lock<std::shared_mutex> publish_lock;
-    if (options_.db_mutex) {
-      publish_lock = std::unique_lock<std::shared_mutex>(*options_.db_mutex);
-    }
-    if (options_.snapshot_epoch && log_->epoch() != *options_.snapshot_epoch) {
-      static obs::Counter* const conflicts =
-          obs::Registry::Global().counter("uv.whatif.publish.conflict");
-      conflicts->Inc();
-      return Status::Aborted(
-          "history advanced during what-if replay; re-run against a fresh "
-          "snapshot");
-    }
-    UV_RETURN_NOT_OK(PublishCommitMarker(op));
+    UV_RETURN_NOT_OK(BeginPublish(op, &publish_lock));
     std::set<std::string> names;
     for (auto& n : db_->TableNames()) names.insert(n);
     for (auto& n : temp_db_->TableNames()) names.insert(n);
@@ -731,11 +742,18 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   ReplayPlan plan = ComputeReplayPlan(
       analysis, op.index, target_rw,
       /*target_occupies_slot=*/op.kind != RetroOp::Kind::kAdd, deps);
+  // Journal rollback cannot stage DDL, nor undo a commit behind a
+  // checkpoint's trim horizon (§5 rollback option (iii)). Such a plan is
+  // built naively: the plan, not the cost rule, chose, so the report
+  // carries no rule evidence.
+  const bool journals_cannot_stage =
+      !plan.abandoned &&
+      (plan.needs_schema_rebuild || UndoesTrimmedCommit(op, plan));
+  if (journals_cannot_stage) strategy = obs::StrategyChoice{};
   if (strategy.automatic) CountStrategy(strategy);
-  if (plan.abandoned) {
-    // The closure is projected to cover so much of the suffix that full
-    // re-execution is cheaper: keep the partial scan as the plan phase and
-    // build the universe naively.
+  if (plan.abandoned || journals_cannot_stage) {
+    // Either way the plan phase keeps its (partial) scan, and the universe
+    // is the rewritten history re-executed in full.
     UV_RETURN_NOT_OK(ExecuteFullNaive(op, horizon, &rec, &stats));
     return stats;
   }
@@ -756,22 +774,16 @@ Result<ReplayStats> RetroactiveEngine::Execute(
                       : 0;
   stats.mutated_tables = plan.mutated_tables.size();
   stats.consulted_tables = plan.consulted_tables.size();
-  stats.schema_rebuild = plan.needs_schema_rebuild;
-  // Catalog mutations in the plan (a DDL target or member) are invisible
-  // to per-table row digests: removing a CREATE INDEX leaves every row
-  // multiset identical, so the first probe "hits" and adoption — which is
-  // what would drop the index from the live catalog — gets skipped. A
-  // hash hit proves row convergence only; disable jumping whenever the
-  // replay changes catalog state. (Differential-oracle find, DESIGN.md
-  // §9.) Checked before force_rebuild / journal-horizon widening below,
-  // which set needs_schema_rebuild without any catalog change. Analyze-only
-  // executions also force it off: a jump proves the replayed state
+  // No catalog mutation reaches this path (a DDL plan re-executed naively
+  // above), and the Hash-jumper relies on that: per-table row digests are
+  // blind to the catalog, so removing a CREATE INDEX would "hit" at once
+  // and skip the adoption that drops the index (DESIGN.md §9).
+  // Analyze-only executions force it off: a jump proves the replayed state
   // reconverged with the live timeline and leaves the temporary database
   // frozen mid-history — correct when adoption is then skipped, but an
   // analyze-only caller reads the temporary database AS the result, so it
   // must always be driven to the horizon.
-  const bool hash_jumper_on =
-      options_.hash_jumper && !plan.needs_schema_rebuild && options_.publish;
+  const bool hash_jumper_on = options_.hash_jumper && options_.publish;
   {
     static obs::Counter* const planned =
         obs::Registry::Global().counter("uv.replay.slots.planned");
@@ -818,140 +830,37 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   rec.Phase(ReplayPhase::kStage);
   UV_RETURN_NOT_OK(CheckCancel(options_.cancel, "replay.stage"));
   UV_FAILPOINT("replay.stage.pre");
-  std::vector<std::string> affected(plan.mutated_tables.begin(),
-                                    plan.mutated_tables.end());
-  affected.insert(affected.end(), plan.consulted_tables.begin(),
-                  plan.consulted_tables.end());
-  if (options_.force_rebuild && !plan.needs_schema_rebuild) {
-    plan.needs_schema_rebuild = true;
-    stats.schema_rebuild = true;
-  }
-  // Journal horizon: if a checkpoint trimmed the undo entries of a commit
-  // we must roll back (§5 rollback option (iii)), the journal cannot stage
-  // the rollback; rebuild from the log instead.
-  if (!plan.needs_schema_rebuild) {
-    uint64_t trimmed = 0;
-    {
-      // Shared lock: checkpoints advance trimmed_before() under the
-      // exclusive side of the same mutex.
-      std::shared_lock<std::shared_mutex> rl;
-      if (options_.db_mutex) {
-        rl = std::shared_lock<std::shared_mutex>(*options_.db_mutex);
-      }
-      for (const auto& t : plan.mutated_tables) {
-        const sql::Table* table = db_->FindTable(t);
-        if (table) trimmed = std::max(trimmed, table->trimmed_before());
-      }
-    }
-    bool undo_before_horizon =
-        op.kind != RetroOp::Kind::kAdd && op.index < trimmed;
-    for (uint64_t idx : plan.replay_indices) {
-      if (idx < trimmed) undo_before_horizon = true;
-    }
-    if (undo_before_horizon) {
-      plan.needs_schema_rebuild = true;
-      stats.schema_rebuild = true;
+  // Selective CoW staging (§4.4): stage only the tables the replay will
+  // write or consult (plus tables the human-decision rules read), as
+  // O(1) copy-on-write clones. Anything a replayed query unexpectedly
+  // touches beyond that faults in lazily through the read fallback.
+  std::set<std::string> staged(plan.mutated_tables.begin(),
+                               plan.mutated_tables.end());
+  staged.insert(plan.consulted_tables.begin(), plan.consulted_tables.end());
+  for (const auto& [fn, cond] : parsed_rules_) {
+    (void)fn;
+    if (auto rw = analyzer->AnalyzeStatement(*cond, nullptr); rw.ok()) {
+      staged.insert(rw->read_tables.begin(), rw->read_tables.end());
     }
   }
-  if (plan.needs_schema_rebuild) {
-    // The rebuilt temporary database starts empty, so *every* suffix write
-    // must replay — a pruned plan would lose the cell-independent writes
-    // that journal rollback preserves. The rebuild path therefore widens
-    // the plan to the full write-suffix (it is the slow path regardless).
-    std::set<uint64_t> widened(plan.replay_indices.begin(),
-                               plan.replay_indices.end());
-    for (uint64_t idx = op.index; idx <= horizon; ++idx) {
-      if (idx == op.index && op.kind != RetroOp::Kind::kAdd) continue;
-      const QueryRW& rw = analysis[idx - 1];
-      if (rw.wc.empty()) continue;
-      widened.insert(idx);
-      plan.mutated_tables.insert(rw.write_tables.begin(),
-                                 rw.write_tables.end());
-    }
-    plan.replay_indices.assign(widened.begin(), widened.end());
-    stats.replayed = plan.replay_indices.size() + (replay_target ? 1 : 0);
-    stats.planned_replay = stats.replayed;
-    stats.mutated_tables = plan.mutated_tables.size();
-    // Rebuild-widened members replay for staging reasons, not because a
-    // dependency rule fired — the report says so explicitly.
-    if (!plan.exclusions.empty()) {
-      for (uint64_t idx : plan.replay_indices) {
-        size_t j = size_t(idx - plan.exclusions_base);
-        if (idx < plan.exclusions_base || j >= plan.exclusions.size()) {
-          continue;
-        }
-        if (plan.exclusions[j] == PlanExclusion::kMember) continue;
-        --report.verdict_counts[size_t(VerdictFor(plan.exclusions[j]))];
-        report.Tally(obs::TxnVerdict::kReplayed);
-        plan.exclusions[j] = PlanExclusion::kMember;
-        if (rec.full()) {
-          obs::TxnExplain& te = report.txns[(replay_target ? 1 : 0) + j];
-          te.verdict = obs::TxnVerdict::kReplayed;
-          te.rebuild_widened = true;
-          te.evidence =
-              "schema rebuild widens the plan to the full write-suffix";
-        }
-      }
-    }
+  std::vector<std::string> staged_list(staged.begin(), staged.end());
+  {
+    // Shared: concurrent analyses stage simultaneously; only committing
+    // writers (and the adoption swap) hold the exclusive side.
+    auto stage_lock = SharedLockIfSet(options_.db_mutex);
+    temp_db_ = db_->CloneTables(staged_list);
   }
-  if (plan.needs_schema_rebuild) {
-    // Schema changes cannot be undone from table journals: rebuild the
-    // prefix universe from scratch (checkpoint-less slow path).
-    temp_db_ = std::make_unique<sql::Database>();
-    temp_db_->set_exec_engine(db_->exec_engine());
-    // Digests only matter here if the Hash-jumper will probe them; the CoW
-    // staging path below inherits the live database's mode instead.
-    temp_db_->SetTableHashing(hash_jumper_on && db_->table_hashing());
-    for (uint64_t idx = 1; idx < op.index; ++idx) {
-      Slot slot{false, idx};
-      UV_RETURN_NOT_OK(ExecuteSlot(temp_db_.get(), slot, op, idx,
-                                   /*apply_rules=*/false));
-    }
-    // Match the CoW staging path, whose clone carries the live database's
-    // end-of-history AUTO_INCREMENT watermarks and logical clock: fresh ids
-    // for retroactively added statements allocate above everything the
-    // original history handed out, in every replay mode (DESIGN.md §9).
-    {
-      std::shared_lock<std::shared_mutex> seed_lock;
-      if (options_.db_mutex) {
-        seed_lock = std::shared_lock<std::shared_mutex>(*options_.db_mutex);
-      }
-      temp_db_->SeedAutoIncrementFloor(db_->auto_increment_state());
-      temp_db_->SetLogicalTime(db_->logical_time());
-    }
-  } else {
-    // Selective CoW staging (§4.4): stage only the tables the replay will
-    // write or consult (plus tables the human-decision rules read), as
-    // O(1) copy-on-write clones. Anything a replayed query unexpectedly
-    // touches beyond that faults in lazily through the read fallback.
-    std::set<std::string> staged(affected.begin(), affected.end());
-    for (const auto& [fn, cond] : parsed_rules_) {
-      (void)fn;
-      if (auto rw = analyzer->AnalyzeStatement(*cond, nullptr); rw.ok()) {
-        staged.insert(rw->read_tables.begin(), rw->read_tables.end());
-      }
-    }
-    std::vector<std::string> staged_list(staged.begin(), staged.end());
-    if (options_.db_mutex) {
-      // Shared: concurrent analyses stage simultaneously; only committing
-      // writers (and the adoption swap) hold the exclusive side.
-      std::shared_lock<std::shared_mutex> g(*options_.db_mutex);
-      temp_db_ = db_->CloneTables(staged_list);
-    } else {
-      temp_db_ = db_->CloneTables(staged_list);
-    }
-    temp_db_->SetReadFallback(db_, options_.db_mutex);
-    // Query-selective rollback (Appendix E): undo exactly the replayed
-    // commits (plus the removed/changed target). Cell-independent commits
-    // of the same tables keep their effects. On CoW clones this pays only
-    // for the journal suffix and the row pages it actually restores.
-    std::set<uint64_t> undo_commits(plan.replay_indices.begin(),
-                                    plan.replay_indices.end());
-    if (op.kind != RetroOp::Kind::kAdd) undo_commits.insert(op.index);
-    std::vector<std::string> rollback_tables(plan.mutated_tables.begin(),
-                                             plan.mutated_tables.end());
-    temp_db_->RollbackCommitsInTables(undo_commits, rollback_tables);
-  }
+  temp_db_->SetReadFallback(db_, options_.db_mutex);
+  // Query-selective rollback (Appendix E): undo exactly the replayed
+  // commits (plus the removed/changed target). Cell-independent commits
+  // of the same tables keep their effects. On CoW clones this pays only
+  // for the journal suffix and the row pages it actually restores.
+  std::set<uint64_t> undo_commits(plan.replay_indices.begin(),
+                                  plan.replay_indices.end());
+  if (op.kind != RetroOp::Kind::kAdd) undo_commits.insert(op.index);
+  std::vector<std::string> rollback_tables(plan.mutated_tables.begin(),
+                                           plan.mutated_tables.end());
+  temp_db_->RollbackCommitsInTables(undo_commits, rollback_tables);
   UV_FAILPOINT("replay.stage.post");
 
   // Hash-jumper timeline: only consulted (and only built) when the
@@ -1036,12 +945,8 @@ Result<ReplayStats> RetroactiveEngine::Execute(
       // Shared lock across lookup + clone: committing writers hold the
       // exclusive side while mutating.
       std::unique_ptr<sql::Table> original;
-      if (options_.db_mutex) {
-        std::shared_lock<std::shared_mutex> g(*options_.db_mutex);
-        const sql::Table* live = db_->FindTable(t);
-        if (!live) return false;
-        original = live->Clone();
-      } else {
+      {
+        auto live_lock = SharedLockIfSet(options_.db_mutex);
         const sql::Table* live = db_->FindTable(t);
         if (!live) return false;
         original = live->Clone();
@@ -1125,25 +1030,8 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   rec.Phase(ReplayPhase::kPublish);
   UV_RETURN_NOT_OK(CheckCancel(options_.cancel, "replay.publish"));
   if (options_.publish) {
-    // Exclusive from the epoch-conflict check through the swap: no commit
-    // can slip in between the validation and the adoption it validates.
     std::unique_lock<std::shared_mutex> publish_lock;
-    if (options_.db_mutex) {
-      publish_lock = std::unique_lock<std::shared_mutex>(*options_.db_mutex);
-    }
-    if (options_.snapshot_epoch && log_->epoch() != *options_.snapshot_epoch) {
-      // A writer committed while we replayed against the pinned history:
-      // the alternate universe no longer extends the live one, and
-      // adopting it would silently erase those commits. First committer
-      // wins; the caller re-snapshots and retries.
-      static obs::Counter* const conflicts =
-          obs::Registry::Global().counter("uv.whatif.publish.conflict");
-      conflicts->Inc();
-      return Status::Aborted(
-          "history advanced during what-if replay; re-run against a fresh "
-          "snapshot");
-    }
-    UV_RETURN_NOT_OK(PublishCommitMarker(op));
+    UV_RETURN_NOT_OK(BeginPublish(op, &publish_lock));
     if (hash_jumped) {
       // A hash-hit proves the *rows* reconverged with the original
       // timeline; the AUTO_INCREMENT counters are not part of the table
@@ -1170,11 +1058,11 @@ Result<ReplayStats> RetroactiveEngine::Execute(
       // adopted tables' journals neither match the rewritten log's
       // indexing nor stay clear of the indexes the next commits will
       // take. Reset them: retroactive targets at or below the publish
-      // horizon fall back to the rebuild-from-log path — now correct,
-      // since the log describes the published history — and post-publish
-      // traffic journals normally. A change leaves every other table's
-      // journal valid; an add/remove renumbers the whole suffix, so every
-      // journal's commit indexing goes stale.
+      // horizon re-execute naively — correct, since the log describes the
+      // published history — and post-publish traffic journals normally.
+      // A change leaves every other table's journal valid; an add/remove
+      // renumbers the whole suffix, so every journal's commit indexing
+      // goes stale.
       const uint64_t mark = options_.rewrite_log->last_index() + 1;
       if (op.kind == RetroOp::Kind::kChange) {
         std::vector<std::string> adopted(plan.mutated_tables.begin(),
@@ -1285,7 +1173,26 @@ void RetroactiveEngine::RewritePublishedLog(const RetroOp& op) {
   }
 }
 
-Status RetroactiveEngine::PublishCommitMarker(const RetroOp& op) {
+Status RetroactiveEngine::BeginPublish(
+    const RetroOp& op, std::unique_lock<std::shared_mutex>* lock) {
+  // Exclusive from the epoch-conflict check through the caller's swap: no
+  // commit can slip in between the validation and the adoption it
+  // validates.
+  if (options_.db_mutex) {
+    *lock = std::unique_lock<std::shared_mutex>(*options_.db_mutex);
+  }
+  if (options_.snapshot_epoch && log_->epoch() != *options_.snapshot_epoch) {
+    // A writer committed while we replayed against the pinned history: the
+    // alternate universe no longer extends the live one, and adopting it
+    // would silently erase those commits. First committer wins; the caller
+    // re-snapshots and retries.
+    static obs::Counter* const conflicts =
+        obs::Registry::Global().counter("uv.whatif.publish.conflict");
+    conflicts->Inc();
+    return Status::Aborted(
+        "history advanced during what-if replay; re-run against a fresh "
+        "snapshot");
+  }
   UV_FAILPOINT("whatif.publish.pre_marker");
   if (options_.wal != nullptr) {
     if (op.kind != RetroOp::Kind::kRemove && op.new_sql.empty()) {

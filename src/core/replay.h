@@ -115,7 +115,7 @@ struct ReplayStats {
   size_t skipped = 0;            // pruned by dependency analysis
   size_t mutated_tables = 0;
   size_t consulted_tables = 0;
-  bool schema_rebuild = false;
+  bool schema_rebuild = false;  // built by re-executing the whole log
 
   bool hash_jump = false;        // Hash-jumper early termination fired
   uint64_t hash_jump_index = 0;  // commit index of the hash-hit
@@ -150,7 +150,8 @@ struct ReplayStats {
 /// QueryLog pair:
 ///  1) build the pruned replay plan from the dependency analysis,
 ///  2) stage a temporary database and roll back mutated+consulted tables
-///     to τ-1 (or rebuild from scratch when the plan replays DDL),
+///     to τ-1 (a plan the journals cannot stage — DDL, or a commit behind
+///     a checkpoint's trim horizon — re-executes the history naively),
 ///  3) replay dependent queries inline in commit order, charging virtual
 ///     RTT for the conflict DAG's critical path when Options::parallel,
 ///  4) Hash-jumper (§4.5): early-stop when the replayed state provably
@@ -161,9 +162,6 @@ class RetroactiveEngine {
   struct Options {
     DependencyOptions deps;      // which pruning granularities are on
     ReplayMode mode = ReplayMode::kSelective;
-    /// Forces the rebuild-from-log staging path even when journal rollback
-    /// could stage the replay (oracle mode pairs exercise both paths).
-    bool force_rebuild = false;
     /// Charge virtual RTT for the conflict DAG's critical path only, as a
     /// replay overlapping independent chains would (§4.4). Slots always
     /// execute serially; false charges one round trip per executed slot.
@@ -298,9 +296,9 @@ class RetroactiveEngine {
     uint64_t log_index = 0;  // original entry (when !is_new)
   };
 
-  /// `apply_rules` is false while reconstructing the known prefix (rebuild
-  /// and full-naive paths): §6 human-decision rules act on the what-if
-  /// suffix only — the prefix is settled history, not an alternate universe.
+  /// `apply_rules` is false while the naive strategy reconstructs the known
+  /// prefix: §6 human-decision rules act on the what-if suffix only — the
+  /// prefix is settled history, not an alternate universe.
   Status ExecuteSlot(sql::Database* db, const Slot& slot, const RetroOp& op,
                      uint64_t commit_index, bool apply_rules = true);
 
@@ -308,13 +306,18 @@ class RetroactiveEngine {
   /// (replay.cc).
   class ReportRecorder;
 
-  /// The naive strategy (ReplayMode::kFullNaive, or kAuto after the plan
-  /// was abandoned): re-execute the whole rewritten history on a fresh
-  /// database and adopt everything back. Fills `stats` on top of what the
-  /// caller already recorded there (history/suffix sizes, a partial plan
-  /// phase).
+  /// The naive strategy (ReplayMode::kFullNaive, kAuto after the plan was
+  /// abandoned, or a plan the journals cannot stage): re-execute the whole
+  /// rewritten history on a fresh database and adopt everything back.
+  /// Fills `stats` on top of what the caller already recorded there
+  /// (history/suffix sizes, a partial plan phase).
   Status ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
                           ReportRecorder* rec, ReplayStats* stats);
+
+  /// True when staging `plan` by journal rollback would have to undo the
+  /// target or a member older than a mutated table's checkpoint trim
+  /// horizon (§5 rollback option (iii)).
+  bool UndoesTrimmedCommit(const RetroOp& op, const ReplayPlan& plan) const;
 
   /// Hash-jumper timeline over the query log, keyed by the history *epoch*
   /// (an equal-length in-place rewrite must invalidate it); consults and
@@ -336,9 +339,13 @@ class RetroactiveEngine {
   std::unique_ptr<sql::Database> temp_db_;
   std::shared_ptr<const HashTimeline> timeline_;
   uint64_t timeline_epoch_ = 0;
-  /// Two-phase publish (§11): durable commit marker first, then the
-  /// one-step swap of staged tables into the live database.
-  Status PublishCommitMarker(const RetroOp& op);
+  /// Publish prologue of both strategies (two-phase publish, §11): takes
+  /// Options::db_mutex exclusively into `lock`, for the caller to hold
+  /// through its swap; refuses with kAborted if the history advanced past
+  /// Options::snapshot_epoch; then writes the durable commit marker, the
+  /// commit point.
+  Status BeginPublish(const RetroOp& op,
+                      std::unique_lock<std::shared_mutex>* lock);
 
   /// In-place rewrite of Options::rewrite_log to the alternate history a
   /// successful publish just made live. No-op when rewrite_log is null.

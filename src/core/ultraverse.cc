@@ -317,7 +317,8 @@ void Ultraverse::ConfigureRi(const std::string& table,
   analyzer_.ConfigureRi(table, ri_column, std::move(aliases));
 }
 
-Result<uint64_t> Ultraverse::CommitEntry(sql::LogEntry entry) {
+Result<uint64_t> Ultraverse::CommitEntry(
+    sql::LogEntry entry, std::map<std::string, int64_t> counters_before) {
   // Hash-jumper logging: per-table digests of everything this commit
   // changed (§4.5). Incremental hashes make this O(tables).
   if (options_.eager_hash_log) {
@@ -342,6 +343,7 @@ Result<uint64_t> Ultraverse::CommitEntry(sql::LogEntry entry) {
     Result<uint64_t> seq = wal_->AppendEntryAsync(entry, &sync_due);
     if (!seq.ok()) {
       db_.RollbackToIndex(log_.size());
+      db_.RestoreAutoIncrement(std::move(counters_before));
       return seq.status();
     }
     if (sync_due) durability_seq = *seq;
@@ -374,13 +376,15 @@ Result<uint64_t> Ultraverse::ExecuteAndCommit(sql::LogEntry entry,
   // return to instead. DDL nested in a CALL is not covered.
   std::unique_ptr<sql::Database> savepoint;
   if (wal_ && sql::IsDdl(entry.stmt->kind)) savepoint = db_.Clone();
+  std::map<std::string, int64_t> counters;
+  if (wal_) counters = db_.auto_increment_state();
   Result<sql::ExecResult> res = db_.Execute(*entry.stmt, commit_index, &ctx);
   if (!res.ok()) {
     db_.RollbackToIndex(commit_index - 1);
     return res.status();
   }
   *out = std::move(*res);
-  Result<uint64_t> seq = CommitEntry(std::move(entry));
+  Result<uint64_t> seq = CommitEntry(std::move(entry), std::move(counters));
   // Only a failure before the log append leaves the entry uncommitted.
   if (!seq.ok() && savepoint && log_.size() < commit_index) {
     db_.RestoreSavepoint(std::move(savepoint));
@@ -420,6 +424,9 @@ Result<AppValue> Ultraverse::RunTransaction(const std::string& fn,
   // committers would otherwise race to the same slot / logical tick.
   entry.timestamp = db_.NextTimestamp();
   uint64_t commit_index = log_.size() + 1;
+  // For CommitEntry to restore if the WAL append fails.
+  std::map<std::string, int64_t> counters;
+  if (wal_) counters = db_.auto_increment_state();
 
   AppValue ret;
   bool use_app_code = mode == SystemMode::kB || mode == SystemMode::kD;
@@ -510,7 +517,8 @@ retry_with_app_code:
     }
   }
 
-  UV_ASSIGN_OR_RETURN(uint64_t durability_seq, CommitEntry(std::move(entry)));
+  UV_ASSIGN_OR_RETURN(uint64_t durability_seq,
+                      CommitEntry(std::move(entry), std::move(counters)));
   g.unlock();
   // As in ExecuteSql: the group fsync wait runs off the commit lock.
   if (durability_seq != 0) UV_RETURN_NOT_OK(wal_->WaitDurable(durability_seq));
@@ -812,21 +820,14 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
 
 namespace {
 
-/// Fingerprint of the alternate universe an analyze-only run computed:
-/// the temporary database overlaid on the snapshot it staged from (staged
-/// and rebuilt tables win, retroactive drops tombstone, everything else
-/// reads through the CoW fallback). Same format as StateFingerprint(), so
-/// selective, full-naive and published universes compare directly.
-std::string UniverseFingerprint(const sql::Database& snapshot,
-                                const sql::Database& temp) {
-  std::set<std::string> names;
-  for (const auto& n : snapshot.TableNames()) names.insert(n);
-  for (const auto& n : temp.TableNames()) names.insert(n);
+/// The one state fingerprint format: SHA-256 over the tables `names`
+/// lists, in that (sorted) order, each as its name followed by its encoded
+/// rows in sorted order. Names `db` does not resolve are skipped.
+std::string SortedRowFingerprint(const sql::Database& db,
+                                 const std::vector<std::string>& names) {
   Sha256 hasher;
   for (const auto& name : names) {
-    // Const lookup resolves exactly the overlay semantics: local table,
-    // then drop tombstone, then the snapshot through the read fallback.
-    const sql::Table* t = temp.FindTable(name);
+    const sql::Table* t = db.FindTable(name);
     if (!t) continue;
     hasher.Update(name);
     std::vector<std::string> rows;
@@ -838,6 +839,22 @@ std::string UniverseFingerprint(const sql::Database& snapshot,
     for (const auto& r : rows) hasher.Update(r);
   }
   return hasher.Finish().ToHex();
+}
+
+/// Fingerprint of the alternate universe an analyze-only run computed:
+/// the temporary database overlaid on the snapshot it staged from (staged
+/// and rebuilt tables win, retroactive drops tombstone, everything else
+/// reads through the CoW fallback). Same format as StateFingerprint(), so
+/// selective, full-naive and published universes compare directly.
+std::string UniverseFingerprint(const sql::Database& snapshot,
+                                const sql::Database& temp) {
+  std::set<std::string> names;
+  for (const auto& n : snapshot.TableNames()) names.insert(n);
+  for (const auto& n : temp.TableNames()) names.insert(n);
+  // Const lookup resolves exactly the overlay semantics: local table, then
+  // drop tombstone, then the snapshot through the read fallback.
+  return SortedRowFingerprint(
+      temp, std::vector<std::string>(names.begin(), names.end()));
 }
 
 /// Canonical result-cache key: epoch is checked separately, so the key is
@@ -1032,19 +1049,7 @@ void Ultraverse::TagScenario(const std::string& name) {
 }
 
 std::string FingerprintDatabase(const sql::Database& db) {
-  Sha256 hasher;
-  for (const auto& name : db.TableNames()) {
-    const sql::Table* t = db.FindTable(name);
-    hasher.Update(name);
-    std::vector<std::string> rows;
-    t->Scan([&](sql::RowId, const sql::Row& row) {
-      rows.push_back(sql::EncodeRow(row));
-      return true;
-    });
-    std::sort(rows.begin(), rows.end());
-    for (const auto& r : rows) hasher.Update(r);
-  }
-  return hasher.Finish().ToHex();
+  return SortedRowFingerprint(db, db.TableNames());
 }
 
 std::string Ultraverse::StateFingerprint() const {

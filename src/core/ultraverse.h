@@ -297,8 +297,8 @@ class Ultraverse {
   }
 
   /// Checkpoint (§5 rollback option (iii)): trims undo journals before the
-  /// current history position. Bounds journal memory; what-ifs targeting
-  /// older commits transparently rebuild the prefix from the log.
+  /// current history position. Bounds journal memory; what-ifs that must
+  /// undo older commits transparently re-execute the history naively.
   void Checkpoint();
 
   /// Serializes the full database state (all tables, sorted rows) — used
@@ -313,8 +313,13 @@ class Ultraverse {
   /// append seq the caller must WaitDurable() on once it has released
   /// commit_mu_ (0 = durability not owed yet: deferred group commit, or
   /// no WAL). Moving the fsync wait off the commit critical section is
-  /// what lets concurrent committers share one group fsync.
-  Result<uint64_t> CommitEntry(sql::LogEntry entry);
+  /// what lets concurrent committers share one group fsync. A failed WAL
+  /// append unapplies the entry: its rows roll back and the AUTO_INCREMENT
+  /// counters return to `counters_before`, the database's
+  /// auto_increment_state() before the entry executed (read only when a
+  /// WAL is attached).
+  Result<uint64_t> CommitEntry(sql::LogEntry entry,
+                               std::map<std::string, int64_t> counters_before);
   /// Executes `entry.stmt` as the next commit and logs it, all under
   /// commit_mu_: stamps the timestamp, records nondeterminism, and on any
   /// failure leaves the commit unapplied — row-level rollback, or the CoW

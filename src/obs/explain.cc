@@ -349,7 +349,6 @@ std::string WhatIfReport::ToJson() const {
     AppendStringArray(&out, t.read_tables);
     out << ",\"writes\":";
     AppendStringArray(&out, t.write_tables);
-    if (t.rebuild_widened) out << ",\"rebuild_widened\":true";
     if (t.cluster_id >= 0) out << ",\"cluster_id\":" << t.cluster_id;
     if (!t.digest.empty()) {
       out << ",\"digest\":";
@@ -438,7 +437,6 @@ std::optional<WhatIfReport> WhatIfReport::FromJson(const std::string& json) {
       te.evidence = t.Str("evidence");
       te.read_tables = ReadStringArray(t.Get("reads"));
       te.write_tables = ReadStringArray(t.Get("writes"));
-      te.rebuild_widened = t.Bool("rebuild_widened");
       te.cluster_id = t.I64("cluster_id", -1);
       te.digest = t.Str("digest");
       r.txns.push_back(std::move(te));
@@ -528,7 +526,6 @@ std::string WhatIfReport::ToText(std::optional<uint64_t> txn_filter) const {
                     t.is_new ? "new-statement" : TxnVerdictName(t.verdict));
       out << buf;
       if (!t.evidence.empty()) out << ' ' << t.evidence;
-      if (t.rebuild_widened) out << " [rebuild-widened]";
       if (t.cluster_id >= 0) out << " cluster=" << t.cluster_id;
       if (!t.digest.empty()) out << " digest=" << t.digest;
       if (txn_filter && t.index == *txn_filter && !t.is_new) {

@@ -64,9 +64,6 @@ struct TxnExplain {
   std::string evidence;
   std::vector<std::string> read_tables;
   std::vector<std::string> write_tables;
-  /// Replayed only because the plan needed a schema rebuild, not because a
-  /// dependency rule fired.
-  bool rebuild_widened = false;
   /// Ordinal of this txn's column cluster in the plan, -1 if none.
   int64_t cluster_id = -1;
   /// Hex digest that justified a hash-jump, empty otherwise.
@@ -84,7 +81,8 @@ struct PhaseBreakdown {
 /// ReplayMode::kAuto it also carries the evidence of the cost rule: the
 /// column closure's members / scanned at the last checkpoint evaluated,
 /// the density threshold θ and both cost estimates. A run that never
-/// reached a checkpoint (or did not ask for the rule) reports zeros.
+/// reached a checkpoint, did not ask for the rule, or had a plan the
+/// journals cannot stage (built naively regardless) reports zeros.
 struct StrategyChoice {
   std::string kind = "selective";  // selective | naive
   bool automatic = false;          // chosen by the kAuto cost rule

@@ -115,13 +115,9 @@ std::vector<ModeConfig> StandardModeConfigs() {
   c.name = "nodeps+hashjump";
   c.hash_jumper = true;
   configs.push_back(c);
-  c.name = "deps+rebuild";
+  c.name = "deps+tree";
   c.deps = true;
   c.hash_jumper = false;
-  c.force_rebuild = true;
-  configs.push_back(c);
-  c.name = "deps+tree";
-  c.force_rebuild = false;
   c.engine = sql::ExecEngine::kTree;
   configs.push_back(c);
   c.name = "auto";
@@ -193,7 +189,6 @@ Status Universe::RunSelective(const core::RetroOp& op,
   opts.mode = config.mode;
   opts.deps.column_wise = config.deps;
   opts.deps.row_wise = config.deps;
-  opts.force_rebuild = config.force_rebuild;
   opts.hash_jumper = config.hash_jumper;
   opts.verify_hash_hits = config.verify_hash_hits;
   opts.explain = config.explain;

@@ -42,7 +42,6 @@ struct ModeConfig {
   bool deps = true;           // column-wise + row-wise pruning
   bool hash_jumper = false;
   bool verify_hash_hits = false;
-  bool force_rebuild = false; // exercise the rebuild-from-log staging path
   /// Strategy of the checked side: kSelective, or kAuto to let the cost
   /// rule pick (a long whole-suffix history then re-executes in full).
   core::ReplayMode mode = core::ReplayMode::kSelective;
@@ -57,9 +56,9 @@ struct ModeConfig {
 };
 
 /// The standard mode pairs of the oracle smoke suite: selective/full ×
-/// Hash-jumper on/off, a rebuild-path config, a cross-engine config
-/// that replays the selective side on the tree walker while the reference
-/// runs the process default, and the per-what-if strategy choice (kAuto).
+/// Hash-jumper on/off, a cross-engine config that replays the selective
+/// side on the tree walker while the reference runs the process default,
+/// and the per-what-if strategy choice (kAuto).
 std::vector<ModeConfig> StandardModeConfigs();
 
 /// An executable universe: a fresh in-memory database plus the committed

@@ -156,9 +156,9 @@ class Database {
                                const std::vector<std::string>& tables);
 
   /// Checkpoint support (rollback option (iii) of §5 Implementation):
-  /// drops undo-journal entries older than `commit_index`. Retroactive
-  /// targets older than the trim horizon then take the rebuild-from-log
-  /// path instead of journal rollback.
+  /// drops undo-journal entries older than `commit_index`. What-ifs that
+  /// must undo a commit older than the trim horizon then re-execute the
+  /// history naively instead of rolling journals back.
   void TrimJournalsBefore(uint64_t commit_index);
 
   /// Publish reset (see Table::ResetJournal): drops the journals of
@@ -213,10 +213,16 @@ class Database {
     return auto_increment_;
   }
 
+  /// Returns the AUTO_INCREMENT counters to `state`, an
+  /// auto_increment_state() copy taken before a statement that is being
+  /// unapplied: RollbackToIndex restores its rows, not the ids it drew.
+  void RestoreAutoIncrement(std::map<std::string, int64_t> state) {
+    auto_increment_ = std::move(state);
+  }
+
   /// Raises AUTO_INCREMENT counters to at least `floors`; never lowers
-  /// them. Replay paths that rebuild a temporary database from scratch
-  /// (full-naive reference, journal-less rebuild) seed it with the live
-  /// watermarks so a retroactively added INSERT allocates ids *above*
+  /// them. The naive strategy, which rebuilds a temporary database from
+  /// scratch, seeds it with the live watermarks so a retroactively added INSERT allocates ids *above*
   /// every id the original history handed out — the one consistent policy
   /// that keeps fresh ids from colliding with replayed recorded ids and
   /// makes all replay modes agree (see DESIGN.md §9).

@@ -163,9 +163,9 @@ class Table {
   /// untrimmable history (publish reset): a selective what-if publish
   /// replays its slots at post-horizon commit indexes, so the adopted
   /// journal neither matches the rewritten log's indexing nor stays clear
-  /// of the indexes future commits will use. Retroactive targets at or
-  /// below the mark then take the rebuild-from-log path, exactly like a
-  /// checkpoint trim; post-publish traffic journals normally.
+  /// of the indexes future commits will use. What-ifs that must undo a
+  /// commit below the mark then re-execute the history naively, exactly
+  /// like after a checkpoint trim; post-publish traffic journals normally.
   void ResetJournal(uint64_t commit_index);
 
   size_t JournalSize() const { return sealed_entries_ + tail_.size(); }

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
 #include "core/ri_selector.h"
 #include "core/txn_scheduler.h"
+#include "fault/recovery.h"
 #include "sqldb/parser.h"
+#include "sqldb/state_diff.h"
 #include "core/ultraverse.h"
 
 namespace ultraverse::core {
@@ -435,6 +438,69 @@ TEST(CheckpointTest, TrimBoundsJournalMemory) {
   size_t after = uv.db()->FindTable("t")->JournalSize();
   EXPECT_GT(before, 200u);
   EXPECT_EQ(after, 0u);
+}
+
+// --- Naive publish (DESIGN.md §7) ---------------------------------------------------
+
+TEST(NaivePublishTest, DdlPublishLeavesJournalsLaterWhatIfsRollBack) {
+  const std::string path = ::testing::TempDir() + "naive_publish.wal";
+  std::filesystem::remove(path);
+  Ultraverse::Options opts;
+  opts.wal_path = path;
+  Ultraverse uv(opts);
+  ASSERT_TRUE(uv.wal_status().ok()) << uv.wal_status().message();
+  for (const char* sql : {"CREATE TABLE acct (id INT PRIMARY KEY, v INT)",
+                          "INSERT INTO acct VALUES (1, 10)",
+                          "INSERT INTO acct VALUES (2, 20)",
+                          "CREATE TABLE doomed (id INT PRIMARY KEY)",
+                          "UPDATE acct SET v = v + 1 WHERE id = 1",
+                          "INSERT INTO doomed VALUES (1)",
+                          "UPDATE acct SET v = v * 2 WHERE id = 2"}) {
+    ASSERT_TRUE(uv.ExecuteSql(sql).ok()) << sql;
+  }
+
+  // Journals cannot undo a CREATE TABLE: the publish re-executes naively.
+  RetroOp op;
+  op.kind = RetroOp::Kind::kRemove;
+  op.index = 4;
+  auto naive = uv.WhatIf(op, SystemMode::kTD);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(naive->report.strategy.kind, "naive");
+  EXPECT_TRUE(naive->schema_rebuild);
+  EXPECT_EQ(uv.db()->FindTable("doomed"), nullptr);
+
+  ASSERT_TRUE(uv.ExecuteSql("UPDATE acct SET v = v * 3 WHERE id = 1").ok());
+  ASSERT_TRUE(uv.ExecuteSql("INSERT INTO acct VALUES (3, 30)").ok());
+
+  // The `v + 1` UPDATE, renumbered to 4 by the publish: its undo entry was
+  // journaled by the naive universe at that index, and nothing reset it.
+  op.index = 4;
+  ASSERT_EQ(uv.log()->at(op.index).sql,
+            "UPDATE acct SET v = v + 1 WHERE id = 1");
+  auto snap = uv.SnapshotHistory();
+  ASSERT_TRUE(snap.ok());
+  auto analyzed = uv.WhatIfAnalyzeAt(**snap, op, SystemMode::kTD, false);
+  auto reference = uv.WhatIfAnalyzeAt(**snap, op, SystemMode::kTD, true);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(analyzed->stats.report.strategy.kind, "selective");
+  EXPECT_EQ(analyzed->fingerprint, reference->fingerprint);
+
+  auto selective = uv.WhatIf(op, SystemMode::kTD);
+  ASSERT_TRUE(selective.ok()) << selective.status().ToString();
+  EXPECT_EQ(selective->report.strategy.kind, "selective");
+  EXPECT_FALSE(selective->schema_rebuild);
+  EXPECT_EQ(uv.StateFingerprint(), reference->fingerprint);
+  auto r = uv.db()->ExecuteSql("SELECT v FROM acct WHERE id = 1", 9502);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows[0][0].AsInt(), 30) << "10 * 3 without the + 1";
+
+  auto recovered = fault::RecoverState(path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  sql::StateDiff diff =
+      sql::DiffDatabases(*recovered->db, *uv.db(), "recovered", "live");
+  EXPECT_TRUE(diff.equal()) << diff.ToString();
+  std::filesystem::remove(path);
 }
 
 // --- §6 concurrency-control application ---------------------------------------------

@@ -881,6 +881,17 @@ function Deposit(owner, amount) {
 )JS")
                   .ok());
 
+  // The fingerprint covers rows only; the diff also compares the catalog,
+  // indexes and AUTO_INCREMENT counters.
+  const auto expect_recovers_live = [&](const char* when) {
+    SCOPED_TRACE(when);
+    auto recovered = RecoverState(path);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+    EXPECT_EQ(core::FingerprintDatabase(*recovered->db), uv.StateFingerprint());
+    sql::StateDiff diff =
+        sql::DiffDatabases(*recovered->db, *uv.db(), "recovered", "live");
+    EXPECT_TRUE(diff.equal()) << diff.ToString();
+  };
   const auto check = [&](const char* what, const std::function<Status()>& commit) {
     SCOPED_TRACE(what);
     const size_t size = uv.log()->size();
@@ -894,12 +905,11 @@ function Deposit(owner, amount) {
     EXPECT_EQ(uv.log()->size(), size);
     EXPECT_EQ(uv.log()->epoch(), epoch);
     EXPECT_EQ(uv.StateFingerprint(), before);
+    expect_recovers_live("after the failed append");
 
     ASSERT_TRUE(commit().ok());
     EXPECT_EQ(uv.log()->size(), size + 1);
-    auto recovered = RecoverState(path);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-    EXPECT_EQ(core::FingerprintDatabase(*recovered->db), uv.StateFingerprint());
+    expect_recovers_live("after the retry");
   };
   check("ExecuteSql", [&] {
     return uv
@@ -937,24 +947,13 @@ function Deposit(owner, amount) {
   });
   // LoadApplication commits each transpiled procedure as DDL: a failed
   // append must leave it out of the live catalog too, not just the log.
-  // The fingerprint covers rows only; the diff also compares the catalog.
   const char* kWithdraw = R"JS(
 function Withdraw(owner, amount) {
   SQL_exec("UPDATE accounts SET balance = balance - " + amount +
            " WHERE owner = '" + owner + "'");
 }
 )JS";
-  check("LoadApplication", [&] {
-    Status st = uv.LoadApplication(kWithdraw);
-    auto recovered = RecoverState(path);
-    EXPECT_TRUE(recovered.ok()) << recovered.status().message();
-    if (recovered.ok()) {
-      sql::StateDiff diff =
-          sql::DiffDatabases(*recovered->db, *uv.db(), "recovered", "live");
-      EXPECT_TRUE(diff.equal()) << diff.ToString();
-    }
-    return st;
-  });
+  check("LoadApplication", [&] { return uv.LoadApplication(kWithdraw); });
   fs::remove(path);
 }
 
