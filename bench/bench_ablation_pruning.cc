@@ -40,20 +40,20 @@ void Run() {
       opts.history_txns = history;
       opts.dependency_rate = 0.3;
       Instance inst = BuildInstance(opts);
-      auto analysis = inst.uv->EnsureAnalysis();
-      if (!analysis.ok()) std::exit(1);
+      auto history = inst.uv->SnapshotHistory();
+      if (!history.ok()) std::exit(1);
 
       core::RetroactiveEngine::Options eopts;
       eopts.deps.column_wise = v.column;
       eopts.deps.row_wise = v.row;
       eopts.parallel = v.parallel;
       eopts.rtt_micros_per_query = 1000;
-      core::RetroactiveEngine engine(inst.uv->db(), inst.uv->log(), eopts);
+      core::RetroactiveEngine engine(inst.uv->db(), *history, eopts);
 
       core::RetroOp op;
       op.kind = core::RetroOp::Kind::kRemove;
       op.index = inst.retro_target;
-      auto stats = engine.Execute(op, **analysis, inst.uv->analyzer());
+      auto stats = engine.Execute(op);
       if (!stats.ok()) {
         std::fprintf(stderr, "%s/%s: %s\n", name.c_str(), v.label,
                      stats.status().ToString().c_str());

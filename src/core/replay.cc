@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 
@@ -40,21 +39,20 @@ ReplayErrorClass ClassifyReplayError(const Status& st) {
   }
 }
 
+namespace {
+
 /// Original-timeline table hashes: for each table, the (commit index,
-/// digest) sequence logged by the Hash-jumper logger (§4.5).
+/// digest) sequence logged by the Hash-jumper logger (§4.5). Built from the
+/// view per execution, so an in-place history rewrite (same length, new
+/// digests) can never serve a dead timeline.
 class HashTimeline {
  public:
-  explicit HashTimeline(const sql::QueryLog& log) {
-    for (const auto& entry : log.entries()) {
-      Add(entry);
+  explicit HashTimeline(const std::vector<const sql::LogEntry*>& entries) {
+    for (const sql::LogEntry* entry : entries) {
+      for (const auto& [table, digest] : entry->table_hashes) {
+        per_table_[table].emplace_back(entry->index, digest);
+      }
     }
-  }
-
-  /// Snapshot-mode build: iterating the live deque would race concurrent
-  /// appends, so the pinned entry pointers captured under the commit lock
-  /// are the only safe history view.
-  explicit HashTimeline(const std::vector<const sql::LogEntry*>& pinned) {
-    for (const sql::LogEntry* entry : pinned) Add(*entry);
   }
 
   /// The logged digest of `table` at the last write at-or-before `index`;
@@ -71,63 +69,16 @@ class HashTimeline {
   }
 
  private:
-  void Add(const sql::LogEntry& entry) {
-    for (const auto& [table, digest] : entry.table_hashes) {
-      per_table_[table].emplace_back(entry.index, digest);
-    }
-  }
-
   std::map<std::string, std::vector<std::pair<uint64_t, Digest256>>>
       per_table_;
 };
 
-const HashTimeline* RetroactiveEngine::EnsureTimeline() {
-  // Keyed by the history *epoch*, never by log size: a what-if publish or
-  // WAL recovery rewrites entries in place without changing the length,
-  // and a size-keyed cache would keep serving the dead timeline's digests
-  // (the Hash-jumper would then "converge" against a universe that no
-  // longer exists). Snapshot executions key on the epoch their history
-  // was pinned at.
-  const uint64_t epoch = options_.snapshot_epoch ? *options_.snapshot_epoch
-                                                 : log_->epoch();
-  if (timeline_ && timeline_epoch_ == epoch) return timeline_.get();
-  if (options_.timeline_cache) {
-    std::lock_guard<std::mutex> g(options_.timeline_cache->mu);
-    if (options_.timeline_cache->timeline &&
-        options_.timeline_cache->epoch == epoch) {
-      timeline_ = options_.timeline_cache->timeline;
-      timeline_epoch_ = epoch;
-      return timeline_.get();
-    }
-  }
-  timeline_ = options_.pinned_entries
-                  ? std::make_shared<const HashTimeline>(
-                        *options_.pinned_entries)
-                  : std::make_shared<const HashTimeline>(*log_);
-  timeline_epoch_ = epoch;
-  if (options_.timeline_cache) {
-    std::lock_guard<std::mutex> g(options_.timeline_cache->mu);
-    options_.timeline_cache->epoch = epoch;
-    options_.timeline_cache->timeline = timeline_;
-  }
-  return timeline_.get();
-}
+}  // namespace
 
-const sql::LogEntry& RetroactiveEngine::EntryAt(uint64_t index) const {
-  if (options_.pinned_entries) return *(*options_.pinned_entries)[index - 1];
-  return log_->at(index);
-}
-
-uint64_t RetroactiveEngine::HistoryEnd() const {
-  return options_.pinned_entries ? options_.pinned_entries->size()
-                                 : log_->last_index();
-}
-
-RetroactiveEngine::~RetroactiveEngine() = default;
-
-RetroactiveEngine::RetroactiveEngine(sql::Database* db,
-                                     const sql::QueryLog* log, Options options)
-    : db_(db), log_(log), options_(options) {
+RetroactiveEngine::RetroactiveEngine(
+    sql::Database* db, std::shared_ptr<const HistorySnapshot> history,
+    Options options)
+    : db_(db), history_(std::move(history)), options_(std::move(options)) {
   entry_executor_ = [](sql::Database* target, const sql::LogEntry& entry,
                        uint64_t commit_index) -> Status {
     sql::ExecContext ctx;
@@ -635,25 +586,21 @@ Status RetroactiveEngine::ExecuteFullNaive(const RetroOp& op, uint64_t horizon,
   return Status::OK();
 }
 
-Result<ReplayStats> RetroactiveEngine::Execute(
-    const RetroOp& op, const std::vector<QueryRW>& analysis,
-    QueryAnalyzer* analyzer) {
-  // History extent this execution sees: the pinned snapshot horizon when
-  // the facade froze one, the live log otherwise. Everything below reads
-  // history through EntryAt()/history_end only — never through the live
-  // deque, which concurrent writers keep appending to.
-  const uint64_t history_end = HistoryEnd();
-  if (op.index == 0 || op.index > history_end + 1) {
+Result<ReplayStats> RetroactiveEngine::Execute(const RetroOp& op) {
+  // The replay horizon is the view's entry count: queries committed after
+  // the view was taken belong to the next what-if. Everything below reads
+  // history through the view only — never through the live log, which
+  // concurrent writers keep appending to and publishes rewrite in place.
+  const uint64_t horizon = history_->entries->size();
+  if (op.index == 0 || op.index > horizon + 1) {
     return Status::InvalidArgument("retroactive index out of range");
   }
-  if (op.kind != RetroOp::Kind::kAdd && op.index > history_end) {
+  if (op.kind != RetroOp::Kind::kAdd && op.index > horizon) {
     return Status::InvalidArgument("no such query to remove/change");
   }
-  // The replay horizon is the analyzed prefix: queries committed after the
-  // analysis snapshot belong to the next catch-up phase (§4.4).
-  const uint64_t horizon = std::min<uint64_t>(analysis.size(), history_end);
-  if (op.index > horizon + 1) {
-    return Status::InvalidArgument("analysis does not cover the target");
+  const std::vector<QueryRW>& analysis = *history_->analysis;
+  if (options_.mode != ReplayMode::kFullNaive && analysis.size() < horizon) {
+    return Status::InvalidArgument("analysis does not cover the history");
   }
 
   UV_RETURN_NOT_OK(CheckCancel(options_.cancel, "replay.start"));
@@ -689,6 +636,17 @@ Result<ReplayStats> RetroactiveEngine::Execute(
 
   // --- 1. Dependency analysis / replay plan ------------------------------
   rec.Phase(ReplayPhase::kPlan);
+  // The new statement and the §6 rule conditions are analyzed against a
+  // private copy of the view's analyzer: analysis learns alias and merge
+  // state that must not leak into the shared view. Copied only when there
+  // is something to analyze.
+  std::optional<QueryAnalyzer> analyzer;
+  if (op.kind != RetroOp::Kind::kRemove || !parsed_rules_.empty()) {
+    if (history_->analyzer == nullptr) {
+      return Status::InvalidArgument("history view carries no analyzer");
+    }
+    analyzer.emplace(*history_->analyzer);
+  }
   QueryRW target_rw;
   bool replay_target = op.kind != RetroOp::Kind::kRemove;
   if (op.kind == RetroOp::Kind::kRemove) {
@@ -712,6 +670,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     }
   }
   DependencyOptions deps = options_.deps;
+  deps.static_footprints = history_->footprints.get();
   deps.record_exclusions = true;
   // Ground-truth gate (--check-explain): seed selected suffix indices into
   // the closure as unconditional members. Seeding — not merging into the
@@ -864,10 +823,9 @@ Result<ReplayStats> RetroactiveEngine::Execute(
   UV_FAILPOINT("replay.stage.post");
 
   // Hash-jumper timeline: only consulted (and only built) when the
-  // Hash-jumper is on; cached across Execute() calls keyed by the history
-  // epoch.
-  const HashTimeline* timeline =
-      hash_jumper_on ? EnsureTimeline() : nullptr;
+  // Hash-jumper is on.
+  std::optional<HashTimeline> timeline;
+  if (hash_jumper_on) timeline.emplace(*history_->entries);
 
   // --- 3. Replay ----------------------------------------------------------
   rec.Phase(ReplayPhase::kReplay);
@@ -969,7 +927,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
 
   // Slots run inline, in commit order. A crash failpoint simply unwinds to
   // the caller.
-  uint64_t next_commit = history_end + 1;
+  uint64_t next_commit = horizon + 1;
   for (const Slot& slot : slots) {
     {
       obs::TraceSpan slot_span(
@@ -1085,7 +1043,7 @@ Result<ReplayStats> RetroactiveEngine::Execute(
     // Plan members past the convergence point never executed; the digest
     // that justified the jump is the evidence.
     std::string digest_hex;
-    if (timeline != nullptr) {
+    if (timeline) {
       for (const auto& t : plan.mutated_tables) {
         if (const Digest256* d = timeline->HashAt(t, jump_index)) {
           digest_hex = d->ToHex().substr(0, 16);
@@ -1181,10 +1139,11 @@ Status RetroactiveEngine::BeginPublish(
   if (options_.db_mutex) {
     *lock = std::unique_lock<std::shared_mutex>(*options_.db_mutex);
   }
-  if (options_.snapshot_epoch && log_->epoch() != *options_.snapshot_epoch) {
-    // A writer committed while we replayed against the pinned history: the
-    // alternate universe no longer extends the live one, and adopting it
-    // would silently erase those commits. First committer wins; the caller
+  if (options_.rewrite_log != nullptr &&
+      options_.rewrite_log->epoch() != history_->epoch) {
+    // A writer committed while we replayed against the view: the alternate
+    // universe no longer extends the live history, and adopting it would
+    // silently erase those commits. First committer wins; the caller
     // re-snapshots and retries.
     static obs::Counter* const conflicts =
         obs::Registry::Global().counter("uv.whatif.publish.conflict");

@@ -4,12 +4,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "core/dep_graph.h"
+#include "core/history.h"
 #include "core/rw_sets.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
@@ -24,18 +24,6 @@ class Wal;  // durable write-ahead query log (sqldb/wal/wal.h)
 }  // namespace ultraverse::sql
 
 namespace ultraverse::core {
-
-class HashTimeline;  // original-timeline table hashes (replay.cc)
-
-/// Shared, epoch-keyed cache of the Hash-jumper timeline (DESIGN.md §14).
-/// The facade owns one and passes it to every engine it builds: rebuilt
-/// only when the history *epoch* advances — never keyed by log size, which
-/// an equal-length in-place history rewrite leaves unchanged.
-struct TimelineCache {
-  std::mutex mu;
-  uint64_t epoch = 0;
-  std::shared_ptr<const HashTimeline> timeline;
-};
 
 /// How the replay engine reacts to a failed slot (DESIGN.md §11). The old
 /// policy — swallow anything but kInternal — silently ate transient
@@ -146,16 +134,17 @@ struct ReplayStats {
   obs::WhatIfReport report;
 };
 
-/// Executes the rollback & replay protocol of §4.4 against a Database +
-/// QueryLog pair:
-///  1) build the pruned replay plan from the dependency analysis,
+/// Executes the rollback & replay protocol of §4.4 over one history view
+/// (HistorySnapshot), up to its entry count, against the database it
+/// describes — staged from and, on publish, adopted back into:
+///  1) build the pruned replay plan from the view's analysis,
 ///  2) stage a temporary database and roll back mutated+consulted tables
 ///     to τ-1 (a plan the journals cannot stage — DDL, or a commit behind
 ///     a checkpoint's trim horizon — re-executes the history naively),
 ///  3) replay dependent queries inline in commit order, charging virtual
 ///     RTT for the conflict DAG's critical path when Options::parallel,
 ///  4) Hash-jumper (§4.5): early-stop when the replayed state provably
-///     reconverges with the original timeline,
+///     reconverges with the original timeline (the view's logged digests),
 ///  5) adopt mutated tables back into the live database.
 class RetroactiveEngine {
  public:
@@ -190,23 +179,6 @@ class RetroactiveEngine {
     /// touches the live database's counters. Many analyze-only executions
     /// may run concurrently over one shared immutable snapshot.
     bool publish = true;
-    /// Entry pointers for log indices [1, N], captured under the commit
-    /// lock at snapshot time. When set, the engine reads history
-    /// exclusively through them and N is the replay horizon: the what-if
-    /// runs against the prefix frozen at snapshot time while writers keep
-    /// appending, and concurrent appends mutate the deque's internals, so
-    /// even bounded-index reads of the live log would race.
-    const std::vector<const sql::LogEntry*>* pinned_entries = nullptr;
-    /// History epoch the snapshot (pinned_entries / the staged base) was
-    /// taken at. Two uses: the Hash-jumper timeline cache key, and — in
-    /// publish mode — optimistic conflict detection: if the live epoch has
-    /// advanced past this by publish time, a writer committed mid-replay
-    /// and the replayed universe no longer extends the live history, so
-    /// Execute() returns kAborted without adopting anything.
-    std::optional<uint64_t> snapshot_epoch;
-    /// Shared Hash-jumper timeline cache (facade-owned); nullptr = the
-    /// engine keeps a private one for its own lifetime.
-    TimelineCache* timeline_cache = nullptr;
     /// Durable write-ahead log participating in the atomic what-if commit
     /// protocol (DESIGN.md §11): after a clean replay and before the first
     /// live-database mutation, Execute() appends a fsynced commit marker,
@@ -248,7 +220,9 @@ class RetroactiveEngine {
     /// database, and the two universes silently diverge (found by the
     /// multi-client wire gate; see DESIGN.md §16). nullptr = publish
     /// without rewriting, for self-contained oracle universes that are
-    /// compared once and discarded.
+    /// compared once and discarded. Also the optimistic conflict check: if
+    /// its epoch moved from the view's by publish time, a writer committed
+    /// mid-replay, and Execute() returns kAborted without adopting.
     sql::QueryLog* rewrite_log = nullptr;
     /// Invoked inside the publish critical section, after the adoption
     /// swap and the history rewrite, with the exclusive db_mutex still
@@ -265,19 +239,17 @@ class RetroactiveEngine {
   using EntryExecutor = std::function<Status(
       sql::Database* db, const sql::LogEntry& entry, uint64_t commit_index)>;
 
-  RetroactiveEngine(sql::Database* db, const sql::QueryLog* log,
+  RetroactiveEngine(sql::Database* db,
+                    std::shared_ptr<const HistorySnapshot> history,
                     Options options);
-  ~RetroactiveEngine();
 
   void set_entry_executor(EntryExecutor executor) {
     entry_executor_ = std::move(executor);
   }
 
-  /// Runs the retroactive operation. `analysis[i]` must describe log entry
-  /// i+1; `analyzer` supplies R/W analysis for the op's new statement.
-  Result<ReplayStats> Execute(const RetroOp& op,
-                              const std::vector<QueryRW>& analysis,
-                              QueryAnalyzer* analyzer);
+  /// Runs the retroactive operation. All but ReplayMode::kFullNaive need
+  /// the view's analysis; an add/change or §6 rules also its analyzer.
+  Result<ReplayStats> Execute(const RetroOp& op);
 
   /// The temporary database of the last Execute() call (tests inspect the
   /// alternate universe even after a hash-jump).
@@ -319,31 +291,21 @@ class RetroactiveEngine {
   /// horizon (§5 rollback option (iii)).
   bool UndoesTrimmedCommit(const RetroOp& op, const ReplayPlan& plan) const;
 
-  /// Hash-jumper timeline over the query log, keyed by the history *epoch*
-  /// (an equal-length in-place rewrite must invalidate it); consults and
-  /// populates Options::timeline_cache when the facade shares one.
-  const HashTimeline* EnsureTimeline();
-
-  /// Committed entry at 1-based `index` — through the pinned snapshot
-  /// pointers when Options::pinned_entries is set, else the live log.
-  const sql::LogEntry& EntryAt(uint64_t index) const;
-
-  /// End of the history this execution replays over: the pinned horizon in
-  /// snapshot mode, the live log's last index otherwise.
-  uint64_t HistoryEnd() const;
+  /// The view's committed entry at 1-based `index`.
+  const sql::LogEntry& EntryAt(uint64_t index) const {
+    return *(*history_->entries)[index - 1];
+  }
 
   sql::Database* db_;
-  const sql::QueryLog* log_;
+  std::shared_ptr<const HistorySnapshot> history_;
   Options options_;
   EntryExecutor entry_executor_;
   std::unique_ptr<sql::Database> temp_db_;
-  std::shared_ptr<const HashTimeline> timeline_;
-  uint64_t timeline_epoch_ = 0;
   /// Publish prologue of both strategies (two-phase publish, §11): takes
   /// Options::db_mutex exclusively into `lock`, for the caller to hold
-  /// through its swap; refuses with kAborted if the history advanced past
-  /// Options::snapshot_epoch; then writes the durable commit marker, the
-  /// commit point.
+  /// through its swap; refuses with kAborted if Options::rewrite_log's
+  /// epoch moved away from the view's; then writes the durable commit
+  /// marker, the commit point.
   Status BeginPublish(const RetroOp& op,
                       std::unique_lock<std::shared_mutex>* lock);
 

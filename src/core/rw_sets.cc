@@ -1,6 +1,7 @@
 #include "core/rw_sets.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "obs/metrics.h"
@@ -287,6 +288,65 @@ void QueryAnalyzer::Union(const std::string& a, const std::string& b) {
     merge_parent_[ra] = rb;
     ++merge_generation_;
   }
+}
+
+/// The merge classes of one union-find generation, grouped by column, for
+/// closing interval regions (CanonicalizeRowSets): each class's member
+/// encodings (representative included), the class of each member, and the
+/// members sorted by value, so an interval finds the classes it touches by
+/// binary search rather than a scan of every merge.
+struct QueryAnalyzer::MergeClassIndex {
+  struct Column {
+    std::vector<std::vector<std::string>> members;  // per class
+    std::map<std::string, size_t> class_of;         // member enc -> class
+    std::vector<std::pair<sql::Value, size_t>> by_value;
+    /// Undecodable or NaN members (outside the value order): tested singly.
+    std::vector<std::pair<std::string, size_t>> unordered;
+  };
+  std::map<std::string, Column> columns;  // "Table.col" -> its classes
+};
+
+const QueryAnalyzer::MergeClassIndex& QueryAnalyzer::MergeClasses() {
+  if (merge_classes_ && merge_classes_gen_ == merge_generation_) {
+    return *merge_classes_;
+  }
+  std::map<std::string, std::vector<std::string>> classes;  // root -> keys
+  for (const auto& [key, parent] : merge_parent_) {
+    (void)parent;
+    classes[Find(key)].push_back(key);
+  }
+  auto index = std::make_shared<MergeClassIndex>();
+  for (auto& [root, keys] : classes) {
+    keys.push_back(root);
+    // Keys are "<Table.col>|<value_enc>" (the first '|' splits them), and
+    // a merge only ever joins keys of one column.
+    const size_t bar = root.find('|');
+    MergeClassIndex::Column& col = index->columns[root.substr(0, bar)];
+    const size_t c = col.members.size();
+    col.members.emplace_back();
+    for (const std::string& key : keys) {
+      std::string enc = key.substr(bar + 1);
+      col.class_of.emplace(enc, c);
+      sql::Value v;
+      if (sql::Value::Decode(enc, &v) &&
+          !(v.type() == sql::DataType::kDouble && std::isnan(v.AsDouble()))) {
+        col.by_value.emplace_back(std::move(v), c);
+      } else {
+        col.unordered.emplace_back(enc, c);
+      }
+      col.members[c].push_back(std::move(enc));
+    }
+  }
+  for (auto& [name, col] : index->columns) {
+    (void)name;
+    std::sort(col.by_value.begin(), col.by_value.end(),
+              [](const auto& a, const auto& b) {
+                return a.first.Compare(b.first) < 0;
+              });
+  }
+  merge_classes_ = std::move(index);
+  merge_classes_gen_ = merge_generation_;
+  return *merge_classes_;
 }
 
 // ---------------------------------------------------------------------------
@@ -1201,24 +1261,35 @@ void QueryAnalyzer::CanonicalizeRowSets(QueryRW* rw) {
       // regions above were rewritten to) must be in it too. Closed regions
       // make canonical overlap equivalent to raw overlap, keeping
       // RegionIntersects pruning sound across UPDATE-of-RI renames.
-      const std::string prefix = col + "|";
-      std::map<std::string, std::vector<std::string>> classes;
-      for (const auto& [key, parent] : merge_parent_) {
-        (void)parent;
-        if (key.compare(0, prefix.size(), prefix) != 0) continue;
-        classes[Find(key)].push_back(enc_of(key));
+      const auto& columns = MergeClasses().columns;
+      auto it = columns.find(col);
+      if (it == columns.end()) continue;
+      const MergeClassIndex::Column& classes = it->second;
+      std::set<size_t> touched;
+      for (const auto& p : region.points) {
+        auto c = classes.class_of.find(p);
+        if (c != classes.class_of.end()) touched.insert(c->second);
       }
-      for (auto& [root, members] : classes) {
-        members.push_back(enc_of(root));
-        bool touches = false;
-        for (const auto& m : members) {
-          if (region.ContainsEncoded(m)) {
-            touches = true;
-            break;
-          }
+      for (const auto& iv : region.intervals) {
+        auto m = classes.by_value.begin();
+        if (iv.lo) {
+          m = std::lower_bound(classes.by_value.begin(),
+                               classes.by_value.end(), *iv.lo,
+                               [](const auto& e, const sql::Value& lo) {
+                                 return e.first.Compare(lo) < 0;
+                               });
         }
-        if (!touches) continue;
-        for (const auto& m : members) region.points.insert(m);
+        for (; m != classes.by_value.end(); ++m) {
+          if (iv.hi && m->first.Compare(*iv.hi) > 0) break;
+          if (iv.Contains(m->first)) touched.insert(m->second);
+        }
+      }
+      for (const auto& [enc, c] : classes.unordered) {
+        if (region.ContainsEncoded(enc)) touched.insert(c);
+      }
+      for (size_t c : touched) {
+        region.points.insert(classes.members[c].begin(),
+                             classes.members[c].end());
       }
     }
   };

@@ -2,6 +2,7 @@
 #define ULTRAVERSE_CORE_RW_SETS_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -246,9 +247,15 @@ class QueryAnalyzer {
   uint64_t merge_generation_ = 0;  // bumped per effective Union
   // Alias translation: "Table.alias|value_enc" -> set of RI value encs.
   std::map<std::string, std::set<std::string>> alias_to_ri_;
+  // The union-find's classes grouped by column (rw_sets.cc), built on first
+  // use per merge generation and shared by copies of the analyzer.
+  struct MergeClassIndex;
+  std::shared_ptr<const MergeClassIndex> merge_classes_;
+  uint64_t merge_classes_gen_ = 0;
 
   std::string Find(const std::string& key);
   void Union(const std::string& a, const std::string& b);
+  const MergeClassIndex& MergeClasses();
 };
 
 /// Facts only the abstract domain records; src/analysis's StaticSummary

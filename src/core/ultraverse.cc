@@ -350,14 +350,9 @@ Result<uint64_t> Ultraverse::CommitEntry(
   }
   for (const auto& [name, h] : entry.table_hashes) last_hash_[name] = h;
   log_.Append(std::move(entry));
-  if (options_.eager_analysis) {
-    UV_ASSIGN_OR_RETURN(QueryRW rw,
-                        analyzer_.AnalyzeEntry(log_.entries().back()));
-    footprints_.push_back(FootprintOf(rw));
-    raw_analysis_.push_back(std::move(rw));
-  }
-  // No dirty flag: EnsureAnalysisLocked compares coverage and the merged-RI
-  // generation, extending the canonical analysis incrementally.
+  // Canonicalization waits for the next full catch-up: a merge learned here
+  // would otherwise re-canonicalize the whole history inside this commit.
+  if (options_.eager_analysis) UV_RETURN_NOT_OK(AnalyzeNewEntriesLocked());
   return durability_seq;
 }
 
@@ -525,32 +520,33 @@ retry_with_app_code:
   return ret;
 }
 
-Status Ultraverse::EnsureAnalysisLocked() {
-  while (raw_analysis_.size() < log_.size()) {
-    UV_ASSIGN_OR_RETURN(
-        QueryRW rw, analyzer_.AnalyzeEntry(log_.at(raw_analysis_.size() + 1)));
+Status Ultraverse::AnalyzeNewEntriesLocked() {
+  while (analysis_.size() < log_.size()) {
+    UV_ASSIGN_OR_RETURN(QueryRW rw,
+                        analyzer_.AnalyzeEntry(log_.at(analysis_.size() + 1)));
     footprints_.push_back(FootprintOf(rw));
-    raw_analysis_.push_back(std::move(rw));
+    analysis_.push_back(std::move(rw));
   }
+  return Status::OK();
+}
+
+Status Ultraverse::EnsureAnalysisLocked() {
+  UV_RETURN_NOT_OK(AnalyzeNewEntriesLocked());
   const uint64_t gen = analyzer_.merge_generation();
   if (canonical_merge_gen_ != gen) {
     // A merged-RI union landed since the last canonicalization: the
-    // representative of any already-canonicalized value may have changed,
-    // so the whole analysis re-canonicalizes under the final union-find
-    // (CanonicalizeRowSets is a pure function of it).
-    canonical_analysis_ = raw_analysis_;
-    for (auto& rw : canonical_analysis_) analyzer_.CanonicalizeRowSets(&rw);
+    // representative of any already-canonical value may have changed.
+    // Re-canonicalizing in place is exact (merge classes only grow, so
+    // Find_new(Find_old(v)) = Find_new(v), and a region closed under the
+    // old classes closes to the same set under the new ones).
+    canonical_count_ = 0;
     canonical_merge_gen_ = gen;
     log_.BumpGeneration();
-  } else if (canonical_analysis_.size() < raw_analysis_.size()) {
-    // Union-find unchanged: every existing canonical entry is still
-    // canonical; only the new tail needs work (incremental maintenance,
-    // DESIGN.md §14).
-    for (size_t i = canonical_analysis_.size(); i < raw_analysis_.size();
-         ++i) {
-      canonical_analysis_.push_back(raw_analysis_[i]);
-      analyzer_.CanonicalizeRowSets(&canonical_analysis_.back());
-    }
+  }
+  // Union-find unchanged: only the new tail needs work (incremental
+  // maintenance, DESIGN.md §14).
+  for (; canonical_count_ < analysis_.size(); ++canonical_count_) {
+    analyzer_.CanonicalizeRowSets(&analysis_[canonical_count_]);
   }
   return Status::OK();
 }
@@ -563,10 +559,10 @@ void Ultraverse::OnPublishedLocked(const RetroOp& op) {
   // union-find keeps merges learned from the dead suffix — that can only
   // widen row sets, which over-replays but never skips a dependency.
   log_.BumpGeneration();
-  const size_t keep = std::min<size_t>(raw_analysis_.size(), op.index - 1);
-  raw_analysis_.resize(keep);
-  footprints_.resize(std::min(footprints_.size(), keep));
-  canonical_analysis_.resize(std::min(canonical_analysis_.size(), keep));
+  const size_t keep = std::min<size_t>(analysis_.size(), op.index - 1);
+  analysis_.resize(keep);
+  footprints_.resize(keep);
+  canonical_count_ = std::min(canonical_count_, keep);
   // Eager hash log: the suffix digests were dropped by the rewrite.
   // Re-baseline on the final entry with the just-adopted live tables, so
   // timeline lookups at-or-past the horizon (and dedup of future commits)
@@ -589,7 +585,7 @@ Result<const std::vector<QueryRW>*> Ultraverse::EnsureAnalysis() {
   // evolve with the log, and WhatIf snapshots a consistent prefix.
   std::unique_lock<std::shared_mutex> g(commit_mu_);
   UV_RETURN_NOT_OK(EnsureAnalysisLocked());
-  return &canonical_analysis_;
+  return &analysis_;
 }
 
 namespace {
@@ -662,8 +658,7 @@ Result<std::shared_ptr<const HistorySnapshot>> Ultraverse::SnapshotHistory() {
                           {{"horizon", log_.size()},
                            {"delta", log_.size() - from}});
     delta_entries.assign(log_.entries().begin() + from, log_.entries().end());
-    delta_analysis.assign(canonical_analysis_.begin() + from,
-                          canonical_analysis_.end());
+    delta_analysis.assign(analysis_.begin() + from, analysis_.end());
     delta_footprints.assign(footprints_.begin() + from, footprints_.end());
     snap->epoch = log_.epoch();
     snap->horizon = log_.size();
@@ -764,14 +759,6 @@ Result<RetroOp> Ultraverse::MakeOp(RetroOp::Kind kind, uint64_t index,
 }
 
 Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
-                                       std::vector<ReplayRule> rules) {
-  // Embedded single-session use: the facade-wide Options::whatif_* knobs
-  // are the request context.
-  return WhatIf(op, mode, std::move(rules),
-                RequestContext{options_.whatif_cancel, options_.whatif_retry});
-}
-
-Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
                                        std::vector<ReplayRule> rules,
                                        const RequestContext& ctx) {
   static obs::Counter* const whatifs =
@@ -797,7 +784,6 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
   eopts.rules = std::move(rules);
   eopts.db_mutex = &commit_mu_;
   eopts.wal = wal_.get();  // two-phase publish when durability is on
-  eopts.timeline_cache = &timeline_cache_;
   // On publish the engine rewrites the live log to the alternate history
   // inside its critical section, then hands control back here for cache
   // maintenance — all before the exclusive lock drops, so no concurrent
@@ -805,8 +791,8 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
   // the dead history.
   eopts.rewrite_log = &log_;
   eopts.on_published = [this](const RetroOp& o) { OnPublishedLocked(o); };
-  UV_ASSIGN_OR_RETURN(ReplayStats stats,
-                      RunEngine(*snap, &db_, op, mode, ctx, std::move(eopts)));
+  UV_ASSIGN_OR_RETURN(ReplayStats stats, RunEngine(std::move(snap), &db_, op,
+                                                   mode, ctx, std::move(eopts)));
   // Published: the live state diverged from everything derived at the old
   // epoch (snapshots, analyze-result cache, hash timelines). Advance the
   // epoch so every one of them invalidates on its next key check.
@@ -880,35 +866,27 @@ std::string AnalysisCacheKey(const RetroOp& op, SystemMode mode) {
 
 }  // namespace
 
-Result<ReplayStats> Ultraverse::RunEngine(const HistorySnapshot& snap,
-                                          sql::Database* db, const RetroOp& op,
-                                          SystemMode mode,
-                                          const RequestContext& ctx,
-                                          RetroactiveEngine::Options eopts,
-                                          std::string* fingerprint) {
+Result<ReplayStats> Ultraverse::RunEngine(
+    std::shared_ptr<const HistorySnapshot> snap, sql::Database* db,
+    const RetroOp& op, SystemMode mode, const RequestContext& ctx,
+    RetroactiveEngine::Options eopts, std::string* fingerprint) {
   const bool dep = mode == SystemMode::kD || mode == SystemMode::kTD;
   eopts.deps.column_wise = dep;
   eopts.deps.row_wise = dep;
-  eopts.deps.static_footprints = snap.footprints.get();
   eopts.parallel = dep;
   eopts.cancel = ctx.cancel;
   eopts.retry = ctx.retry;
   eopts.explain = options_.explain;
-  eopts.forced_replay = options_.forced_replay;
-  eopts.pinned_entries = snap.entries.get();
-  eopts.snapshot_epoch = snap.epoch;
   const bool use_app_code = mode == SystemMode::kB || mode == SystemMode::kD;
   if (!use_app_code) {
     eopts.rtt_micros_per_query = options_.rtt_micros;  // 1 RTT per CALL
   }
 
-  // The engine analyzes the retroactive statement against a copy of the
-  // snapshot's analyzer, not the live one: the live analyzer evolves with
-  // concurrent commits, alias/merge state learned from an uncommitted
-  // what-if must never leak into committed-history analysis, and N
-  // analyses sharing one analyzer would race.
-  QueryAnalyzer scratch_analyzer = *snap.analyzer;
-  RetroactiveEngine engine(db, &log_, std::move(eopts));
+  // The engine analyzes the retroactive statement against its own copy of
+  // the snapshot's analyzer, never the live one: the live analyzer evolves
+  // with concurrent commits, and alias/merge state learned from an
+  // uncommitted what-if must never leak into committed-history analysis.
+  RetroactiveEngine engine(db, snap, std::move(eopts));
   std::atomic<uint64_t> rtt_counter{0};
   if (use_app_code) {
     engine.set_entry_executor(
@@ -918,10 +896,9 @@ Result<ReplayStats> Ultraverse::RunEngine(const HistorySnapshot& snap,
                                            &rtt_counter);
         });
   }
-  UV_ASSIGN_OR_RETURN(ReplayStats stats,
-                      engine.Execute(op, *snap.analysis, &scratch_analyzer));
+  UV_ASSIGN_OR_RETURN(ReplayStats stats, engine.Execute(op));
   if (fingerprint != nullptr) {
-    *fingerprint = UniverseFingerprint(*snap.db, *engine.last_temp_db());
+    *fingerprint = UniverseFingerprint(*snap->db, *engine.last_temp_db());
   }
   stats.report.mode = SystemModeName(mode);
   uint64_t counted = rtt_counter.load(std::memory_order_relaxed);
@@ -933,15 +910,6 @@ Result<ReplayStats> Ultraverse::RunEngine(const HistorySnapshot& snap,
   }
   stats.virtual_rtt_micros += counted;
   return stats;
-}
-
-Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
-                                                   const RetroOp& op,
-                                                   SystemMode mode,
-                                                   bool full_naive) {
-  return WhatIfAnalyzeAt(
-      snap, op, mode, full_naive,
-      RequestContext{options_.whatif_cancel, options_.whatif_retry});
 }
 
 Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
@@ -973,17 +941,12 @@ Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
   // so the cast does not break the sharing contract with other analyses.
   sql::Database* snap_db = const_cast<sql::Database*>(snap.db.get());
   WhatIfAnalysis out;
-  UV_ASSIGN_OR_RETURN(out.stats, RunEngine(snap, snap_db, op, mode, ctx,
-                                           std::move(eopts), &out.fingerprint));
+  UV_ASSIGN_OR_RETURN(out.stats,
+                      RunEngine(snap.shared_from_this(), snap_db, op, mode, ctx,
+                                std::move(eopts), &out.fingerprint));
   out.epoch = snap.epoch;
   out.horizon = snap.horizon;
   return out;
-}
-
-Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyze(const RetroOp& op,
-                                                 SystemMode mode) {
-  return WhatIfAnalyze(
-      op, mode, RequestContext{options_.whatif_cancel, options_.whatif_retry});
 }
 
 Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyze(const RetroOp& op,

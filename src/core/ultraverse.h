@@ -32,42 +32,12 @@ enum class SystemMode { kB, kT, kD, kTD };
 
 const char* SystemModeName(SystemMode mode);
 
-/// Immutable MVCC snapshot of one history epoch (DESIGN.md §14): the full
-/// CoW-cloned database state at the snapshot horizon, pinned pointers to
-/// every committed entry up to it, the canonicalized per-entry analysis,
-/// the static table footprints, and a frozen copy of the analyzer. Shared
-/// read-only by any number of concurrent what-if analyses while regular
-/// traffic keeps committing. A new snapshot extends its predecessor: the
-/// commit lock is held only to copy what was committed since (plus the
-/// O(tables) clone), and the O(horizon) vectors are assembled after it
-/// drops.
-struct HistorySnapshot {
-  uint64_t epoch = 0;    // history epoch this snapshot pins
-  uint64_t horizon = 0;  // committed entries covered (log prefix length)
-  /// QueryLog::generation() at build time: a later snapshot may extend
-  /// this one only while the generation still holds.
-  uint64_t generation = 0;
-  std::shared_ptr<const sql::Database> db;
-  /// Owned copies of the pinned prefix, as immutable segments shared with
-  /// the predecessor and successor snapshots (each build adds one segment
-  /// holding the entries committed since its predecessor). A publish
-  /// rewrites live log entries *in place* (and an add/remove publish
-  /// inserts or erases mid-deque, invalidating every reference into it),
-  /// so pointers into the live deque would race with lock-free in-flight
-  /// analyses. `entries` points into these segments.
-  std::vector<std::shared_ptr<const std::vector<sql::LogEntry>>> entry_storage;
-  std::shared_ptr<const std::vector<const sql::LogEntry*>> entries;
-  std::shared_ptr<const std::vector<QueryRW>> analysis;
-  std::shared_ptr<const std::vector<TableFootprint>> footprints;
-  std::shared_ptr<const QueryAnalyzer> analyzer;
-};
-
 /// Per-request execution context (session-scoped robustness knobs). Every
 /// what-if entry point takes one: a server session owns a CancelToken +
 /// RetryPolicy per request and passes them here, so deadlines and retry
-/// behavior are request-scoped rather than process-global. The no-context
-/// overloads fall back to the facade-wide Options::whatif_* defaults
-/// (embedded single-session use).
+/// behavior are request-scoped rather than process-global. The default
+/// context (embedded single-session use) is not cancellable and does not
+/// retry.
 struct RequestContext {
   /// Cancellation/deadline token observed at every replay phase boundary
   /// and slot. Nullable = not cancellable.
@@ -134,13 +104,6 @@ class Ultraverse {
     /// Group commit: fsync every Nth entry (1 = each, 0 = markers only).
     uint64_t wal_fsync_every_n = 1;
 
-    /// Bounded retry for transient (kUnavailable) replay faults during
-    /// WhatIf(). Default: no retries.
-    RetryPolicy whatif_retry;
-    /// Cancellation/deadline token observed by WhatIf() replays; workers
-    /// drain gracefully and the live database stays untouched. Nullable.
-    const CancelToken* whatif_cancel = nullptr;
-
     /// Execution engine for the live database (clones used by replay
     /// inherit it). Unset = the process default (sql::DefaultExecEngine).
     std::optional<sql::ExecEngine> exec_engine;
@@ -149,9 +112,6 @@ class Ultraverse {
     /// records phase timings + verdict totals into ReplayStats::report;
     /// kFull adds one TxnExplain per suffix transaction.
     obs::ExplainLevel explain = obs::ExplainLevel::kSummary;
-    /// Log indices forced into every replay plan (ground-truth knob for
-    /// `fuzz_whatif --check-explain`; see RetroactiveEngine::Options).
-    std::vector<uint64_t> forced_replay;
   };
 
   Ultraverse() : Ultraverse(Options()) {}
@@ -224,14 +184,11 @@ class Ultraverse {
   /// regular traffic keeps committing; if any commit lands before the
   /// publish point the call returns kAborted (first committer wins) and
   /// the live database stays untouched — re-invoke to retry against the
-  /// extended history.
+  /// extended history. `ctx` carries the request's cancel token and retry
+  /// policy.
   Result<ReplayStats> WhatIf(const RetroOp& op, SystemMode mode,
-                             std::vector<ReplayRule> rules = {});
-  /// Session-scoped variant: the request's own cancel token and retry
-  /// policy override the facade-wide Options::whatif_* defaults.
-  Result<ReplayStats> WhatIf(const RetroOp& op, SystemMode mode,
-                             std::vector<ReplayRule> rules,
-                             const RequestContext& ctx);
+                             std::vector<ReplayRule> rules = {},
+                             const RequestContext& ctx = {});
 
   // --- Concurrent analyze-only what-ifs (MVCC, DESIGN.md §14) ---------------
 
@@ -249,33 +206,27 @@ class Ultraverse {
   /// returned snapshot concurrently.
   Result<std::shared_ptr<const HistorySnapshot>> SnapshotHistory();
 
-  /// Analyze-only what-if against an explicit snapshot: computes the
-  /// alternate universe and its fingerprint WITHOUT publishing — the live
-  /// database, log and WAL are not touched. Safe to call from many threads
-  /// with the same snapshot simultaneously. `full_naive` selects the
-  /// ground-truth reference path (differential oracle, DESIGN.md §9).
-  /// Otherwise, with Options::rtt_micros == 0 the engine picks selective
-  /// replay or full re-execution per what-if (ReplayMode::kAuto, DESIGN.md
-  /// §4.4); with modelled RTT it always replays selectively.
+  /// Analyze-only what-if against a snapshot SnapshotHistory() returned:
+  /// computes the alternate universe and its fingerprint WITHOUT publishing
+  /// — the live database, log and WAL are not touched. Safe to call from
+  /// many threads with the same snapshot simultaneously. `full_naive`
+  /// selects the ground-truth reference path (differential oracle,
+  /// DESIGN.md §9). Otherwise, with Options::rtt_micros == 0 the engine
+  /// picks selective replay or full re-execution per what-if
+  /// (ReplayMode::kAuto, DESIGN.md §4.4); else it replays selectively.
   Result<WhatIfAnalysis> WhatIfAnalyzeAt(const HistorySnapshot& snap,
                                          const RetroOp& op, SystemMode mode,
-                                         bool full_naive = false);
-  /// Session-scoped variant (see RequestContext).
-  Result<WhatIfAnalysis> WhatIfAnalyzeAt(const HistorySnapshot& snap,
-                                         const RetroOp& op, SystemMode mode,
-                                         bool full_naive,
-                                         const RequestContext& ctx);
+                                         bool full_naive = false,
+                                         const RequestContext& ctx = {});
 
   /// Convenience: snapshot the current epoch and analyze, memoizing the
   /// result keyed by (history epoch, canonicalized op, mode). A repeated
   /// question against an unchanged history is answered from the cache
   /// (verdict kResultCacheHit, metric uv.whatif.cache.hit); any commit
-  /// invalidates by advancing the epoch.
-  Result<WhatIfAnalysis> WhatIfAnalyze(const RetroOp& op, SystemMode mode);
-  /// Session-scoped variant (see RequestContext). Cache hits still honor
-  /// the context's deadline check before returning.
+  /// invalidates by advancing the epoch. Cache hits still honor the
+  /// context's deadline check before returning.
   Result<WhatIfAnalysis> WhatIfAnalyze(const RetroOp& op, SystemMode mode,
-                                       const RequestContext& ctx);
+                                       const RequestContext& ctx = {});
 
   /// Convenience: builds a RetroOp from SQL text ("" = remove).
   Result<RetroOp> MakeOp(RetroOp::Kind kind, uint64_t index,
@@ -332,24 +283,24 @@ class Ultraverse {
                                    std::atomic<uint64_t>* rtt_counter);
   /// One engine execution of `op` over `snap` against `db`, set up the way
   /// both WhatIf() and WhatIfAnalyzeAt() need it: pruning granularities
-  /// and critical-path RTT by `mode`, the pinned history, the request's
-  /// cancel/retry, explain level and forced members, a scratch analyzer,
-  /// the app-code executor in B/D modes with its counted round trips
-  /// scaled to the critical path, and the system mode stamped on the
+  /// and critical-path RTT by `mode`, the request's cancel/retry, explain
+  /// level, the app-code executor in B/D modes with its counted round
+  /// trips scaled to the critical path, and the system mode stamped on the
   /// report. `eopts` brings what the callers do differently (publish,
-  /// locks, WAL, log rewrite, timeline cache, strategy). A non-null
-  /// `fingerprint` receives the alternate universe's fingerprint.
-  Result<ReplayStats> RunEngine(const HistorySnapshot& snap, sql::Database* db,
-                                const RetroOp& op, SystemMode mode,
-                                const RequestContext& ctx,
+  /// locks, WAL, log rewrite, strategy). A non-null `fingerprint` receives
+  /// the alternate universe's fingerprint.
+  Result<ReplayStats> RunEngine(std::shared_ptr<const HistorySnapshot> snap,
+                                sql::Database* db, const RetroOp& op,
+                                SystemMode mode, const RequestContext& ctx,
                                 RetroactiveEngine::Options eopts,
                                 std::string* fingerprint = nullptr);
-  /// Catch-up of raw + canonicalized analysis and footprints to the log
-  /// tail. Caller holds commit_mu_ exclusively. Incremental: entries
-  /// already canonicalized are reused verbatim unless the analyzer's
-  /// merged-RI generation advanced (then canonical representatives may
-  /// have changed, everything re-canonicalizes, and the log's rewrite
-  /// generation advances so no snapshot extends the stale analysis).
+  /// Analysis catch-up to the log tail, caller holding commit_mu_
+  /// exclusively. Pass 1 (AnalyzeNewEntriesLocked, also run at each eager
+  /// commit) adds raw sets and footprints; pass 2 canonicalizes the new
+  /// entries, or all of them in place when a merged-RI union landed since
+  /// (the log's rewrite generation then advances, so no snapshot extends
+  /// the stale analysis).
+  Status AnalyzeNewEntriesLocked();
   Status EnsureAnalysisLocked();
 
   /// Publish-time cache maintenance, invoked by the engine inside the
@@ -374,16 +325,15 @@ class Ultraverse {
   std::map<std::string, transpiler::TranspiledTransaction> transpiled_;
   double transpile_seconds_ = 0;
 
-  // Raw (uncanonicalized) per-entry analysis, maintained incrementally,
-  // plus the aligned static table footprints fed to the dependency
-  // planner's pre-filter (exact dynamic table sets satisfy the ⊇
-  // contract of DependencyOptions::static_footprints).
-  std::vector<QueryRW> raw_analysis_;
-  std::vector<TableFootprint> footprints_;
-  // Canonicalized analysis: extended append-only while the analyzer's
-  // merged-RI generation holds, rebuilt wholesale when a merge lands.
-  std::vector<QueryRW> canonical_analysis_;
+  // Per-entry analysis: the first `canonical_count_` entries are canonical
+  // under merged-RI generation `canonical_merge_gen_`, the rest still raw.
+  // Aligned static footprints feed the planner's pre-filter (exact dynamic
+  // table sets satisfy the ⊇ contract of DependencyOptions::
+  // static_footprints); canonicalization never touches what they read.
+  std::vector<QueryRW> analysis_;
+  size_t canonical_count_ = 0;
   uint64_t canonical_merge_gen_ = 0;
+  std::vector<TableFootprint> footprints_;
 
   // Last logged hash per table (eager hash logging).
   std::map<std::string, Digest256> last_hash_;
@@ -404,8 +354,6 @@ class Ultraverse {
   /// predecessor the next build extends. In-flight analyses keep older
   /// snapshots alive through their shared_ptrs.
   std::shared_ptr<const HistorySnapshot> snapshot_cache_;
-  /// Hash-jumper timeline shared across publishing what-ifs, epoch-keyed.
-  TimelineCache timeline_cache_;
   /// (epoch, canonicalized op, mode) -> analyze-only result. Guarded by
   /// result_mu_ (a leaf lock: never held while acquiring commit_mu_).
   std::mutex result_mu_;

@@ -50,19 +50,19 @@ Result<HarnessOutcome> RunOnce(const oracle::WhatIfCase& c,
     UV_RETURN_NOT_OK(wal->AppendEntry(entry));
   }
   UV_RETURN_NOT_OK(wal->Sync());
-  UV_ASSIGN_OR_RETURN(const std::vector<core::QueryRW>* analysis,
-                      u->Analysis());
+  UV_ASSIGN_OR_RETURN(std::shared_ptr<const core::HistorySnapshot> history,
+                      u->History());
   UV_ASSIGN_OR_RETURN(core::RetroOp op, MakeOp(c));
 
   core::RetroactiveEngine::Options opts;
   opts.mode = core::ReplayMode::kSelective;
   opts.wal = wal.get();
-  core::RetroactiveEngine engine(u->db(), &u->log(), opts);
+  core::RetroactiveEngine engine(u->db(), std::move(history), opts);
 
   if (arm) arm();
   HarnessOutcome out;
   try {
-    Result<core::ReplayStats> r = engine.Execute(op, *analysis, u->analyzer());
+    Result<core::ReplayStats> r = engine.Execute(op);
     out.engine_status = r.ok() ? Status::OK() : r.status();
   } catch (const CrashException& e) {
     out.crashed = true;

@@ -1,7 +1,6 @@
 #include "fault/recovery.h"
 
 #include <utility>
-#include <vector>
 
 #include "core/replay.h"
 #include "obs/metrics.h"
@@ -36,14 +35,9 @@ Status ApplyMarker(const sql::WhatIfMarker& marker, sql::Database* db,
   // against exactly the history they originally saw (indices included —
   // an add/remove publish shifts every later commit index).
   opts.rewrite_log = log;
-  // Full-naive replay never consults the per-entry analysis (only its
-  // size, which bounds the replay horizon) or the analyzer.
-  std::vector<core::QueryRW> analysis(log->size());
-  core::RetroactiveEngine engine(db, log, opts);
-  UV_ASSIGN_OR_RETURN(core::ReplayStats stats,
-                      engine.Execute(op, analysis, /*analyzer=*/nullptr));
-  (void)stats;
-  return Status::OK();
+  // Full-naive replay reads entries only: no analysis, no analyzer.
+  core::RetroactiveEngine engine(db, core::SnapshotOfLog(*log), opts);
+  return engine.Execute(op).status();
 }
 
 }  // namespace

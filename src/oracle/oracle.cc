@@ -181,35 +181,40 @@ Result<const std::vector<core::QueryRW>*> Universe::Analysis() {
   return &analysis_;
 }
 
+Result<std::shared_ptr<const core::HistorySnapshot>> Universe::History() {
+  UV_ASSIGN_OR_RETURN(const std::vector<core::QueryRW>* analysis, Analysis());
+  return core::SnapshotOfLog(log_, *analysis, &analyzer_);
+}
+
 Status Universe::RunSelective(const core::RetroOp& op,
                               const ModeConfig& config,
                               core::ReplayStats* stats) {
-  UV_ASSIGN_OR_RETURN(const std::vector<core::QueryRW>* analysis, Analysis());
+  UV_ASSIGN_OR_RETURN(std::shared_ptr<const core::HistorySnapshot> history,
+                      History());
   core::RetroactiveEngine::Options opts;
   opts.mode = config.mode;
   opts.deps.column_wise = config.deps;
   opts.deps.row_wise = config.deps;
   opts.hash_jumper = config.hash_jumper;
-  opts.verify_hash_hits = config.verify_hash_hits;
   opts.explain = config.explain;
   opts.forced_replay = config.forced_replay;
   if (config.engine) db_->set_exec_engine(*config.engine);
-  core::RetroactiveEngine engine(db_.get(), &log_, opts);
-  UV_ASSIGN_OR_RETURN(core::ReplayStats s,
-                      engine.Execute(op, *analysis, &analyzer_));
+  core::RetroactiveEngine engine(db_.get(), std::move(history), opts);
+  UV_ASSIGN_OR_RETURN(core::ReplayStats s, engine.Execute(op));
   if (stats) *stats = s;
   return Status::OK();
 }
 
 Status Universe::RunFullNaive(const core::RetroOp& op,
                               core::ReplayStats* stats) {
-  UV_ASSIGN_OR_RETURN(const std::vector<core::QueryRW>* analysis, Analysis());
+  // The selective side's view: an analyzer rejection fails both alike.
+  UV_ASSIGN_OR_RETURN(std::shared_ptr<const core::HistorySnapshot> history,
+                      History());
   core::RetroactiveEngine::Options opts;
   opts.mode = core::ReplayMode::kFullNaive;
   opts.parallel = false;
-  core::RetroactiveEngine engine(db_.get(), &log_, opts);
-  UV_ASSIGN_OR_RETURN(core::ReplayStats s,
-                      engine.Execute(op, *analysis, &analyzer_));
+  core::RetroactiveEngine engine(db_.get(), std::move(history), opts);
+  UV_ASSIGN_OR_RETURN(core::ReplayStats s, engine.Execute(op));
   if (stats) *stats = s;
   return Status::OK();
 }

@@ -41,7 +41,6 @@ struct ModeConfig {
   std::string name;           // for reports ("selective+hj" etc.)
   bool deps = true;           // column-wise + row-wise pruning
   bool hash_jumper = false;
-  bool verify_hash_hits = false;
   /// Strategy of the checked side: kSelective, or kAuto to let the cost
   /// rule pick (a long whole-suffix history then re-executes in full).
   core::ReplayMode mode = core::ReplayMode::kSelective;
@@ -90,6 +89,9 @@ class Universe {
   /// Per-entry R/W analysis of the full log (computed once, cached).
   Result<const std::vector<core::QueryRW>*> Analysis();
   core::QueryAnalyzer* analyzer() { return &analyzer_; }
+  /// The history view an engine replays over: the log as it stands now,
+  /// with Analysis() and a copy of the analyzer (core::SnapshotOfLog).
+  Result<std::shared_ptr<const core::HistorySnapshot>> History();
 
   /// Runs the retroactive op under `config` (ReplayMode::kSelective).
   Status RunSelective(const core::RetroOp& op, const ModeConfig& config,

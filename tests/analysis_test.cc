@@ -20,6 +20,7 @@
 #include "oracle/fuzzer.h"
 #include "oracle/oracle.h"
 #include "sqldb/parser.h"
+#include "util/rng.h"
 #include "util/sha256.h"
 #include "workloads/workload.h"
 
@@ -594,6 +595,116 @@ TEST(AnalysisDigestTest, WorkloadsAndFuzzHistoriesUnchanged) {
   }
   EXPECT_EQ(fuzz.Finish().ToHex(),
             "2d281e3ae33a38813b761c3681b80cde2ca33017906955831350ead20f578b98");
+}
+
+/// A random history that keeps teaching the analyzer RI merges: two keyed
+/// tables whose rows are renamed (UPDATE SET id = new WHERE id = old),
+/// with freed keys re-inserted, point updates and closed or half-open
+/// range updates — the interval regions canonicalization closes under the
+/// merge classes.
+std::vector<std::string> RenamingHistory(uint64_t seed, int commits) {
+  Rng rng(seed);
+  const std::vector<std::string> tables = {"acct", "item"};
+  std::vector<std::string> out;
+  std::map<std::string, std::vector<int64_t>> live, freed;
+  for (const auto& t : tables) {
+    out.push_back("CREATE TABLE " + t + " (id INT PRIMARY KEY, v INT)");
+    for (int64_t id = 1; id <= 12; ++id) {
+      out.push_back("INSERT INTO " + t + " (id, v) VALUES (" +
+                    std::to_string(id) + ", 0)");
+      live[t].push_back(id);
+    }
+  }
+  int64_t next_id = 100;
+  for (int i = 0; i < commits; ++i) {
+    const std::string& t = tables[size_t(rng.UniformInt(0, 1))];
+    std::vector<int64_t>& ids = live[t];
+    const size_t pick = size_t(rng.UniformInt(0, int64_t(ids.size()) - 1));
+    const std::string id = std::to_string(ids[pick]);
+    const int64_t dice = rng.UniformInt(0, 99);
+    if (dice < 15) {
+      out.push_back("UPDATE " + t + " SET id = " + std::to_string(next_id) +
+                    " WHERE id = " + id);
+      freed[t].push_back(ids[pick]);
+      ids[pick] = next_id++;
+    } else if (dice < 20 && !freed[t].empty()) {
+      const int64_t back = freed[t].back();
+      freed[t].pop_back();
+      out.push_back("INSERT INTO " + t + " (id, v) VALUES (" +
+                    std::to_string(back) + ", 1)");
+      ids.push_back(back);
+    } else if (dice < 35) {
+      const int64_t lo = rng.UniformInt(1, next_id);
+      out.push_back("UPDATE " + t + " SET v = v + 1 WHERE id >= " +
+                    std::to_string(lo) + " AND id < " +
+                    std::to_string(lo + rng.UniformInt(1, 8)));
+    } else if (dice < 40) {
+      out.push_back("SELECT v FROM " + t + " WHERE id > " +
+                    std::to_string(rng.UniformInt(1, next_id)));
+    } else {
+      out.push_back("UPDATE " + t + " SET v = v + 1 WHERE id = " + id);
+    }
+  }
+  return out;
+}
+
+TEST(AnalysisDigestTest, RenamingHistoriesUnchanged) {
+  // Interval regions closed under learned merge classes: a digest of the
+  // canonicalized analysis of RenamingHistory seeds 1..24. The constant is
+  // what the earlier scan-the-whole-union-find closure produced; the
+  // per-column class index must reproduce it exactly.
+  Sha256 digest;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    auto universe = Universe::Build(RenamingHistory(seed, /*commits=*/150));
+    ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+    core::QueryAnalyzer analyzer;
+    auto analysis = analyzer.AnalyzeLog((*universe)->log());
+    ASSERT_TRUE(analysis.ok());
+    for (const QueryRW& rw : *analysis) digest.Update(DumpRW(rw) + "\n");
+  }
+  EXPECT_EQ(digest.Finish().ToHex(),
+            "4a2d7c5737797c47cc62b822cda89bd04126595a5a83ab38201dc3841b51a0ab");
+}
+
+TEST(AnalysisDigestTest, InPlaceRecanonicalizationMatchesFinalUnionFind) {
+  // The facade keeps one analysis vector and, when a merged-RI union
+  // lands, re-canonicalizes it in place (core/ultraverse.cc). That must
+  // equal canonicalizing the raw sets once under the final union-find, as
+  // AnalyzeLog does. Catching up after every commit maximizes the number
+  // of in-place passes; odd histories also take the eager-analysis commit
+  // path.
+  std::vector<std::vector<std::string>> histories;
+  for (uint64_t n = 0; n < 200; ++n) {
+    histories.push_back(GenerateCase(/*seed=*/1, n).history);
+  }
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    histories.push_back(RenamingHistory(seed, /*commits=*/150));
+  }
+  size_t recanonicalized = 0;
+  for (size_t h = 0; h < histories.size(); ++h) {
+    SCOPED_TRACE(h);
+    core::Ultraverse::Options options;
+    options.eager_analysis = h % 2 == 1;
+    core::Ultraverse uv(options);
+    bool moved = false;
+    for (const std::string& sql : histories[h]) {
+      const uint64_t gen = uv.analyzer()->merge_generation();
+      ASSERT_TRUE(uv.ExecuteSql(sql).ok()) << sql;
+      ASSERT_TRUE(uv.EnsureAnalysis().ok());
+      moved = moved || uv.analyzer()->merge_generation() != gen;
+    }
+    if (moved) ++recanonicalized;
+    auto in_place = uv.EnsureAnalysis();
+    ASSERT_TRUE(in_place.ok());
+    core::QueryAnalyzer fresh;
+    auto once = fresh.AnalyzeLog(*uv.log());
+    ASSERT_TRUE(once.ok());
+    ASSERT_EQ((*in_place)->size(), once->size());
+    for (size_t i = 0; i < once->size(); ++i) {
+      EXPECT_EQ(DumpRW((**in_place)[i]), DumpRW((*once)[i])) << "entry " << i;
+    }
+  }
+  EXPECT_GE(recanonicalized, 24u) << "too few histories learned a merge";
 }
 
 TEST(SoundnessTest, DetachesOnDestruction) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "core/ri_selector.h"
 #include "core/txn_scheduler.h"
@@ -573,6 +575,41 @@ TEST(TxnSchedulerTest, FullyConflictingBatchIsAChain) {
   EXPECT_EQ(stats->critical_path, 20u) << "RMW chain on one row is serial";
   auto r = db.ExecuteSql("SELECT v FROM c", 9999);
   EXPECT_EQ(r->rows[0][0].AsInt(), 20);
+}
+
+// An eager commit after a publish must analyze the log from where the
+// publish truncated the analysis, not just the newest entry: the analysis
+// stays aligned with the log, exactly as lazy catch-up builds it.
+TEST(FacadeAnalysisTest, EagerAnalysisStaysAlignedAcrossPublish) {
+  auto run = [](bool eager) {
+    Ultraverse::Options options;
+    options.eager_analysis = eager;
+    auto uv = std::make_unique<Ultraverse>(options);
+    for (const char* sql : {
+             "CREATE TABLE t (id INT PRIMARY KEY, v INT)",
+             "CREATE TABLE u (id INT PRIMARY KEY, w INT)",
+             "INSERT INTO t (id, v) VALUES (1, 1)",
+             "INSERT INTO u (id, w) VALUES (1, 1)",
+             "UPDATE t SET v = v + 1 WHERE id = 1",
+             "UPDATE u SET w = w + 1 WHERE id = 1",
+         }) {
+      EXPECT_TRUE(uv->ExecuteSql(sql).ok()) << sql;
+    }
+    auto op = uv->MakeOp(RetroOp::Kind::kRemove, 5, "");
+    EXPECT_TRUE(op.ok());
+    EXPECT_TRUE(uv->WhatIf(*op, SystemMode::kTD).ok());
+    EXPECT_TRUE(uv->ExecuteSql("UPDATE t SET v = 9 WHERE id = 1").ok());
+    auto analysis = uv->EnsureAnalysis();
+    EXPECT_TRUE(analysis.ok());
+    std::vector<std::set<std::string>> writes;
+    for (const QueryRW& rw : **analysis) writes.push_back(rw.write_tables);
+    return writes;
+  };
+  const std::vector<std::set<std::string>> lazy = run(false);
+  ASSERT_EQ(lazy.size(), 6u);
+  EXPECT_EQ(lazy[4], std::set<std::string>{"u"});
+  EXPECT_EQ(lazy[5], std::set<std::string>{"t"});
+  EXPECT_EQ(run(true), lazy);
 }
 
 }  // namespace

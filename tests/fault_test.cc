@@ -489,15 +489,15 @@ Result<DurableOutcome> RunDurableWhatIf(
     UV_RETURN_NOT_OK(wal->AppendEntry(entry));
   }
   UV_RETURN_NOT_OK(wal->Sync());
-  UV_ASSIGN_OR_RETURN(const std::vector<core::QueryRW>* analysis,
-                      u->Analysis());
+  UV_ASSIGN_OR_RETURN(std::shared_ptr<const core::HistorySnapshot> view,
+                      u->History());
   opts.mode = core::ReplayMode::kSelective;
   opts.parallel = false;
   opts.wal = wal.get();
-  core::RetroactiveEngine engine(u->db(), &u->log(), opts);
+  core::RetroactiveEngine engine(u->db(), std::move(view), opts);
   DurableOutcome out;
   try {
-    auto result = engine.Execute(op, *analysis, u->analyzer());
+    auto result = engine.Execute(op);
     out.engine_status = result.ok() ? Status::OK() : result.status();
   } catch (const CrashException& e) {
     out.crashed = true;
@@ -591,8 +591,8 @@ TEST_F(FaultTest, CancelledTokenLeavesLiveDbUntouched) {
   auto u = oracle::Universe::Build(BasicHistory());
   auto ref = oracle::Universe::Build(BasicHistory());
   ASSERT_TRUE(u.ok() && ref.ok());
-  auto analysis = (*u)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*u)->History();
+  ASSERT_TRUE(history.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
   ASSERT_TRUE(op.ok());
 
@@ -601,8 +601,8 @@ TEST_F(FaultTest, CancelledTokenLeavesLiveDbUntouched) {
   core::RetroactiveEngine::Options opts;
   opts.parallel = false;
   opts.cancel = &token;
-  core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
-  auto result = engine.Execute(*op, **analysis, (*u)->analyzer());
+  core::RetroactiveEngine engine((*u)->db(), *history, opts);
+  auto result = engine.Execute(*op);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   sql::StateDiff diff =
@@ -613,8 +613,8 @@ TEST_F(FaultTest, CancelledTokenLeavesLiveDbUntouched) {
 TEST_F(FaultTest, ExpiredDeadlineSurfacesDeadlineExceeded) {
   auto u = oracle::Universe::Build(BasicHistory());
   ASSERT_TRUE(u.ok());
-  auto analysis = (*u)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*u)->History();
+  ASSERT_TRUE(history.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
   ASSERT_TRUE(op.ok());
 
@@ -624,8 +624,8 @@ TEST_F(FaultTest, ExpiredDeadlineSurfacesDeadlineExceeded) {
   core::RetroactiveEngine::Options opts;
   opts.parallel = false;
   opts.cancel = &token;
-  core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
-  auto result = engine.Execute(*op, **analysis, (*u)->analyzer());
+  core::RetroactiveEngine engine((*u)->db(), *history, opts);
+  auto result = engine.Execute(*op);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -636,8 +636,8 @@ TEST_F(FaultTest, MidReplayCancellationKeepsLiveDbUntouched) {
   auto u = oracle::Universe::Build(BasicHistory());
   auto ref = oracle::Universe::Build(BasicHistory());
   ASSERT_TRUE(u.ok() && ref.ok());
-  auto analysis = (*u)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*u)->History();
+  ASSERT_TRUE(history.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
   ASSERT_TRUE(op.ok());
 
@@ -648,8 +648,8 @@ TEST_F(FaultTest, MidReplayCancellationKeepsLiveDbUntouched) {
 
   core::RetroactiveEngine::Options opts;
   opts.parallel = false;
-  core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
-  auto result = engine.Execute(*op, **analysis, (*u)->analyzer());
+  core::RetroactiveEngine engine((*u)->db(), *history, opts);
+  auto result = engine.Execute(*op);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   sql::StateDiff diff =
@@ -661,8 +661,8 @@ TEST_F(FaultTest, TransientFaultRetriesToSuccess) {
   auto u = oracle::Universe::Build(BasicHistory());
   auto ref = oracle::Universe::Build(BasicHistory());
   ASSERT_TRUE(u.ok() && ref.ok());
-  auto analysis = (*u)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*u)->History();
+  ASSERT_TRUE(history.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
   ASSERT_TRUE(op.ok());
 
@@ -678,8 +678,8 @@ TEST_F(FaultTest, TransientFaultRetriesToSuccess) {
   opts.parallel = false;
   opts.retry.max_attempts = 3;
   opts.retry.backoff_rounds = 1;
-  core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
-  auto result = engine.Execute(*op, **analysis, (*u)->analyzer());
+  core::RetroactiveEngine engine((*u)->db(), *history, opts);
+  auto result = engine.Execute(*op);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(CounterValue("uv.retry.attempts"), retries_before + 2);
 
@@ -694,8 +694,8 @@ TEST_F(FaultTest, ExhaustedRetryBudgetFailsAndLeavesDbUntouched) {
   auto u = oracle::Universe::Build(BasicHistory());
   auto ref = oracle::Universe::Build(BasicHistory());
   ASSERT_TRUE(u.ok() && ref.ok());
-  auto analysis = (*u)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*u)->History();
+  ASSERT_TRUE(history.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
   ASSERT_TRUE(op.ok());
 
@@ -707,8 +707,8 @@ TEST_F(FaultTest, ExhaustedRetryBudgetFailsAndLeavesDbUntouched) {
   opts.parallel = false;
   opts.retry.max_attempts = 2;
   opts.retry.backoff_rounds = 1;
-  core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
-  auto result = engine.Execute(*op, **analysis, (*u)->analyzer());
+  core::RetroactiveEngine engine((*u)->db(), *history, opts);
+  auto result = engine.Execute(*op);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   sql::StateDiff diff =
@@ -720,8 +720,8 @@ TEST_F(FaultTest, FatalErrorAbortsWithoutRetry) {
   auto u = oracle::Universe::Build(BasicHistory());
   auto ref = oracle::Universe::Build(BasicHistory());
   ASSERT_TRUE(u.ok() && ref.ok());
-  auto analysis = (*u)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*u)->History();
+  ASSERT_TRUE(history.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
   ASSERT_TRUE(op.ok());
 
@@ -732,8 +732,8 @@ TEST_F(FaultTest, FatalErrorAbortsWithoutRetry) {
 
   core::RetroactiveEngine::Options opts;
   opts.parallel = false;
-  core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
-  auto result = engine.Execute(*op, **analysis, (*u)->analyzer());
+  core::RetroactiveEngine engine((*u)->db(), *history, opts);
+  auto result = engine.Execute(*op);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   sql::StateDiff diff =
@@ -744,8 +744,8 @@ TEST_F(FaultTest, FatalErrorAbortsWithoutRetry) {
 TEST_F(FaultTest, BenignFaultSkipsTheSlotAndContinues) {
   auto u = oracle::Universe::Build(BasicHistory());
   ASSERT_TRUE(u.ok());
-  auto analysis = (*u)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*u)->History();
+  ASSERT_TRUE(history.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
   ASSERT_TRUE(op.ok());
 
@@ -756,8 +756,8 @@ TEST_F(FaultTest, BenignFaultSkipsTheSlotAndContinues) {
 
   core::RetroactiveEngine::Options opts;
   opts.parallel = false;
-  core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
-  auto result = engine.Execute(*op, **analysis, (*u)->analyzer());
+  core::RetroactiveEngine engine((*u)->db(), *history, opts);
+  auto result = engine.Execute(*op);
   EXPECT_TRUE(result.ok()) << result.status().message();
 }
 
@@ -768,18 +768,18 @@ TEST_F(FaultTest, ReplayCrashReachesCallerAndLeavesLiveDbUntouched) {
   auto u = oracle::Universe::Build(BasicHistory());
   auto ref = oracle::Universe::Build(BasicHistory());
   ASSERT_TRUE(u.ok() && ref.ok());
-  auto analysis = (*u)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*u)->History();
+  ASSERT_TRUE(history.ok());
   auto op = MakeOp(core::RetroOp::Kind::kRemove, 2);
   ASSERT_TRUE(op.ok());
 
   ArmCrashOnce("replay.slot.pre_exec");
   core::RetroactiveEngine::Options opts;
   opts.parallel = true;
-  core::RetroactiveEngine engine((*u)->db(), &(*u)->log(), opts);
+  core::RetroactiveEngine engine((*u)->db(), *history, opts);
   bool caught = false;
   try {
-    (void)engine.Execute(*op, **analysis, (*u)->analyzer());
+    (void)engine.Execute(*op);
   } catch (const CrashException& e) {
     caught = true;
     EXPECT_EQ(e.site, "replay.slot.pre_exec");

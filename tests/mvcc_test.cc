@@ -1,9 +1,8 @@
 // MVCC what-if suite (DESIGN.md §14): epoch-keyed snapshots, concurrent
 // analyze-only what-ifs over shared snapshots, the (epoch, op) result
-// cache, the optimistic publish protocol, and the two stale-cache
-// regression cases this PR fixes — an equal-length history rewrite that a
-// log-size-keyed hash-timeline cache would miss, and a shared VM plan
-// cache poisoned across CloneTables clones by a same-width base ALTER.
+// cache, the optimistic publish protocol, one engine result over either
+// kind of history view, and a shared VM plan cache poisoned across
+// CloneTables clones by a same-width base ALTER.
 
 #include <gtest/gtest.h>
 
@@ -30,118 +29,7 @@
 namespace ultraverse::core {
 namespace {
 
-// --- Satellite regression 1: epoch-keyed hash-timeline cache -----------------
-
-// WAL recovery (and any history patch) rewrites log entries IN PLACE
-// without changing the log length. A timeline cache keyed by log size
-// would serve digests of the overwritten history; keyed by epoch it must
-// rebuild, because at_mutable() bumps the epoch.
-TEST(MvccTimelineCacheTest, EqualLengthRewriteInvalidatesTimeline) {
-  std::vector<std::string> history = {
-      "CREATE TABLE t (id INT PRIMARY KEY, v INT)",
-      "INSERT INTO t (id, v) VALUES (1, 10)",
-      "UPDATE t SET v = v + 1 WHERE id = 1",
-      "UPDATE t SET v = v + 2 WHERE id = 1",
-      "UPDATE t SET v = v + 3 WHERE id = 1",
-  };
-  auto universe = oracle::Universe::Build(history);
-  ASSERT_TRUE(universe.ok()) << universe.status().ToString();
-  auto analysis = (*universe)->Analysis();
-  ASSERT_TRUE(analysis.ok());
-
-  TimelineCache cache;
-  RetroOp op;
-  op.kind = RetroOp::Kind::kRemove;
-  op.index = 3;
-
-  RetroactiveEngine::Options eopts;
-  eopts.deps.column_wise = true;
-  eopts.deps.row_wise = true;
-  eopts.hash_jumper = true;
-  eopts.timeline_cache = &cache;
-  {
-    RetroactiveEngine engine((*universe)->db(), (*universe)->mutable_log(), eopts);
-    ASSERT_TRUE(
-        engine.Execute(op, **analysis, (*universe)->analyzer()).ok());
-  }
-  ASSERT_NE(cache.timeline, nullptr) << "hash-jump run must build a timeline";
-  const HashTimeline* first = cache.timeline.get();
-  const uint64_t first_epoch = cache.epoch;
-
-  // Rewrite one entry in place: same log length, different history. The
-  // accessor itself bumps the epoch — exactly what WAL recovery relies on.
-  sql::QueryLog* log = (*universe)->mutable_log();
-  const uint64_t len_before = log->last_index();
-  log->at_mutable(4).sql = "UPDATE t SET v = v + 200 WHERE id = 1";
-  ASSERT_EQ(log->last_index(), len_before) << "rewrite must not change size";
-
-  {
-    RetroactiveEngine engine((*universe)->db(), (*universe)->mutable_log(), eopts);
-    (void)engine.Execute(op, **analysis, (*universe)->analyzer());
-  }
-  EXPECT_NE(cache.epoch, first_epoch)
-      << "cache still keyed to the overwritten history";
-  EXPECT_NE(cache.timeline.get(), first)
-      << "stale timeline served across an equal-length history rewrite";
-}
-
-// Unchanged history ⇒ the second engine must reuse the cached timeline
-// (the whole point of sharing the cache across what-ifs).
-TEST(MvccTimelineCacheTest, UnchangedEpochReusesTimeline) {
-  std::vector<std::string> history = {
-      "CREATE TABLE t (id INT PRIMARY KEY, v INT)",
-      "INSERT INTO t (id, v) VALUES (1, 10)",
-      "UPDATE t SET v = v + 1 WHERE id = 1",
-      "UPDATE t SET v = v + 2 WHERE id = 1",
-  };
-  auto universe = oracle::Universe::Build(history);
-  ASSERT_TRUE(universe.ok());
-  auto analysis = (*universe)->Analysis();
-  ASSERT_TRUE(analysis.ok());
-
-  TimelineCache cache;
-  RetroOp op;
-  op.kind = RetroOp::Kind::kRemove;
-  op.index = 3;
-  RetroactiveEngine::Options eopts;
-  eopts.deps.column_wise = true;
-  eopts.deps.row_wise = true;
-  eopts.hash_jumper = true;
-  eopts.timeline_cache = &cache;
-  // publish=false: the engine may not mutate the live db/log, so the
-  // epoch cannot move between the two runs.
-  eopts.publish = false;
-  {
-    RetroactiveEngine engine((*universe)->db(), (*universe)->mutable_log(), eopts);
-    ASSERT_TRUE(
-        engine.Execute(op, **analysis, (*universe)->analyzer()).ok());
-  }
-  // Analyze-only forces the Hash-jumper off (the temp db must reach the
-  // horizon to BE the result), so the timeline may or may not have been
-  // built; seed it explicitly through a publishing engine when absent.
-  if (!cache.timeline) {
-    RetroactiveEngine::Options pub = eopts;
-    pub.publish = true;
-    RetroactiveEngine engine((*universe)->db(), (*universe)->mutable_log(), pub);
-    ASSERT_TRUE(
-        engine.Execute(op, **analysis, (*universe)->analyzer()).ok());
-  }
-  ASSERT_NE(cache.timeline, nullptr);
-  const HashTimeline* first = cache.timeline.get();
-  const uint64_t first_epoch = cache.epoch;
-  {
-    RetroactiveEngine::Options pub = eopts;
-    pub.publish = true;
-    pub.snapshot_epoch = (*universe)->log().epoch();
-    RetroactiveEngine engine((*universe)->db(), (*universe)->mutable_log(), pub);
-    ASSERT_TRUE(
-        engine.Execute(op, **analysis, (*universe)->analyzer()).ok());
-  }
-  EXPECT_EQ(cache.epoch, first_epoch);
-  EXPECT_EQ(cache.timeline.get(), first) << "unchanged epoch must reuse";
-}
-
-// --- Satellite regression 2: plan-cache poisoning across clones --------------
+// --- Plan-cache poisoning across clones --------------
 
 // Two CoW clones taken at the same schema version share the base's plan
 // cache. If a same-width base ALTER lands between their executions, the
@@ -453,8 +341,8 @@ TEST(MvccPublishTest, EpochConflictAbortsWithoutMutation) {
       "UPDATE t SET v = v + 2 WHERE id = 1",
   });
   ASSERT_TRUE(universe.ok());
-  auto analysis = (*universe)->Analysis();
-  ASSERT_TRUE(analysis.ok());
+  auto history = (*universe)->History();
+  ASSERT_TRUE(history.ok());
 
   RetroOp op;
   op.kind = RetroOp::Kind::kRemove;
@@ -462,9 +350,10 @@ TEST(MvccPublishTest, EpochConflictAbortsWithoutMutation) {
   RetroactiveEngine::Options eopts;
   eopts.deps.column_wise = true;
   eopts.deps.row_wise = true;
-  // Pin the epoch, then advance the history before running: the publish
-  // point must detect the conflict no matter when the commit landed.
-  eopts.snapshot_epoch = (*universe)->log().epoch();
+  // The view pins the epoch; advance the live history before running: the
+  // publish point must detect the conflict no matter when the commit
+  // landed.
+  eopts.rewrite_log = (*universe)->mutable_log();
   (*universe)->mutable_log()->BumpEpoch();
 
   uint64_t c = 1000;
@@ -472,8 +361,8 @@ TEST(MvccPublishTest, EpochConflictAbortsWithoutMutation) {
       (*universe)->db()->ExecuteSql("SELECT v FROM t WHERE id = 1", ++c);
   ASSERT_TRUE(before.ok());
 
-  RetroactiveEngine engine((*universe)->db(), (*universe)->mutable_log(), eopts);
-  auto stats = engine.Execute(op, **analysis, (*universe)->analyzer());
+  RetroactiveEngine engine((*universe)->db(), *history, eopts);
+  auto stats = engine.Execute(op);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kAborted)
       << stats.status().ToString();
@@ -509,6 +398,86 @@ TEST(MvccPublishTest, PublishAdvancesEpochAndInvalidatesSnapshots) {
   ASSERT_TRUE(post.ok());
   EXPECT_NE(post->get(), pre->get())
       << "pre-publish snapshot must not be served after the rewrite";
+}
+
+// --- One engine, two kinds of history view ------------------------------------
+
+// The engine reads history only through its view. A view copied from the
+// log (SnapshotOfLog) and the facade's own snapshot describe the same
+// history, so the same what-if over either must publish the same universe
+// with the same replay counts — the Hash-jumper included.
+TEST(MvccHistoryViewTest, LogViewMatchesFacadeSnapshot) {
+  auto build = [] {
+    Ultraverse::Options options;
+    options.eager_hash_log = true;
+    auto uv = std::make_unique<Ultraverse>(options);
+    EXPECT_TRUE(
+        uv->ExecuteSql("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok());
+    EXPECT_TRUE(
+        uv->ExecuteSql("CREATE TABLE u (id INT PRIMARY KEY, w INT)").ok());
+    for (int i = 1; i <= 6; ++i) {
+      EXPECT_TRUE(uv->ExecuteSql("INSERT INTO t (id, v) VALUES (" +
+                                 std::to_string(i) + ", " +
+                                 std::to_string(10 * i) + ")")
+                      .ok());
+      EXPECT_TRUE(uv->ExecuteSql("INSERT INTO u (id, w) VALUES (" +
+                                 std::to_string(i) + ", 0)")
+                      .ok());
+    }
+    for (int i = 0; i < 12; ++i) {
+      const std::string id = std::to_string(1 + i % 6);
+      EXPECT_TRUE(
+          uv->ExecuteSql("UPDATE t SET v = v + 1 WHERE id = " + id).ok());
+      EXPECT_TRUE(
+          uv->ExecuteSql("UPDATE u SET w = w + 1 WHERE id = " + id).ok());
+    }
+    return uv;
+  };
+  struct Case {
+    RetroOp::Kind kind;
+    uint64_t index;
+    std::string sql;
+    bool hash_jumper;
+  };
+  const std::vector<Case> cases = {
+      {RetroOp::Kind::kRemove, 4, "", false},
+      {RetroOp::Kind::kRemove, 15, "", true},
+      {RetroOp::Kind::kChange, 16, "UPDATE t SET v = v + 5 WHERE id = 2",
+       false},
+      {RetroOp::Kind::kAdd, 10, "UPDATE u SET w = 7 WHERE id = 3", true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.index);
+    auto log_side = build();
+    auto snap_side = build();
+    RetroactiveEngine::Options eopts;
+    eopts.deps.column_wise = true;
+    eopts.deps.row_wise = true;
+    eopts.hash_jumper = c.hash_jumper;
+
+    auto analysis = log_side->EnsureAnalysis();
+    ASSERT_TRUE(analysis.ok());
+    auto op = log_side->MakeOp(c.kind, c.index, c.sql);
+    ASSERT_TRUE(op.ok());
+    RetroactiveEngine from_log(
+        log_side->db(),
+        SnapshotOfLog(*log_side->log(), **analysis, log_side->analyzer()),
+        eopts);
+    auto a = from_log.Execute(*op);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+
+    auto snap = snap_side->SnapshotHistory();
+    ASSERT_TRUE(snap.ok());
+    RetroactiveEngine from_snapshot(snap_side->db(), *snap, eopts);
+    auto b = from_snapshot.Execute(*op);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+
+    EXPECT_EQ(log_side->StateFingerprint(), snap_side->StateFingerprint());
+    EXPECT_EQ(a->replayed, b->replayed);
+    EXPECT_EQ(a->skipped, b->skipped);
+    EXPECT_EQ(a->critical_path, b->critical_path);
+    EXPECT_EQ(a->hash_jump, b->hash_jump);
+  }
 }
 
 // --- Concurrent end-to-end oracle (satellite 4) ------------------------------

@@ -413,11 +413,12 @@ TEST(OracleRegressionTest, HashJumperMissingBaselineForcesMiss) {
   core::RetroactiveEngine::Options opts;
   opts.parallel = false;
   opts.hash_jumper = true;  // on, but the timeline is empty
-  core::RetroactiveEngine engine(&db, &log, opts);
+  core::RetroactiveEngine engine(
+      &db, core::SnapshotOfLog(log, *analysis, &analyzer), opts);
   core::RetroOp op;
   op.kind = RetroOp::Kind::kRemove;
   op.index = 2;  // remove the INSERT
-  auto stats = engine.Execute(op, *analysis, &analyzer);
+  auto stats = engine.Execute(op);
   ASSERT_TRUE(stats.ok()) << stats.status().message();
   EXPECT_FALSE(stats->hash_jump)
       << "no logged digest -> probes must force-miss";

@@ -457,13 +457,13 @@ TEST_P(ParallelDeterminismTest, ParallelEqualsSerial) {
   op.kind = RetroOp::Kind::kRemove;
   op.index = 5;
   auto run = [&](Ultraverse* uv, bool parallel) {
-    auto analysis = uv->EnsureAnalysis();
-    EXPECT_TRUE(analysis.ok());
+    auto history = uv->SnapshotHistory();
+    EXPECT_TRUE(history.ok());
     RetroactiveEngine::Options eopts;
     eopts.parallel = parallel;
     eopts.rtt_micros_per_query = rtt;
-    RetroactiveEngine engine(uv->db(), uv->log(), eopts);
-    auto stats = engine.Execute(op, **analysis, uv->analyzer());
+    RetroactiveEngine engine(uv->db(), *history, eopts);
+    auto stats = engine.Execute(op);
     EXPECT_TRUE(stats.ok()) << stats.status().message();
     return stats.ok() ? *stats : ReplayStats{};
   };
